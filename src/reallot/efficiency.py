@@ -6,6 +6,12 @@ strictly prefers b's assigned house): a 2-cycle is exactly a blocking
 pair, and any cycle is exactly an efficiency-improving trade. The
 brute-force oracle stays a literal scan of all allocations so the two
 routes remain independent of each other.
+
+The per-profile scans share one bitmask kernel: a pruned enumeration of
+the pair-efficient allocations, a cycle finder on the house-space envy
+digraph, and the one-pass check of the blocking-pair extraction claims.
+The per-allocation functions above it stay as they are and serve as the
+kernel's oracles.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ from .core import (
     BudgetError,
     Profile,
 )
+from .domains import SINGLE_PEAKED
+
+RED = "red"
+BLUE = "blue"
 
 
 @dataclass(frozen=True)
@@ -270,13 +280,174 @@ def count_efficient(profile: Profile) -> tuple[int, int]:
     n = profile.n
     if n > BRUTE_FORCE_MAX_AGENTS:
         raise BudgetError(f"counting is guarded to n <= {BRUTE_FORCE_MAX_AGENTS}, got {n}")
-    ranks = [p.rank_of for p in profile.prefs]
-    pair_count = 0
-    pareto_count = 0
-    for perm in itertools.permutations(range(n)):
-        if _blocking_pair_raw(ranks, perm) is not None:
+    found = _pair_efficient(_better_table([p.ranking for p in profile.prefs]))
+    return len(found), sum(efficient for _, efficient in found)
+
+
+# --- the per-profile kernel -------------------------------------------------
+#
+# Houses are bits. ``better[a][h]`` is the mask of houses agent a strictly
+# prefers to house h. In an allocation where a holds h it is also the
+# successor set of h in the house-space envy digraph (h -> g when the
+# holder of h envies the holder of g), so that digraph needs no building:
+# ``succ[h]`` is one table lookup per house.
+
+
+def _better_table(rankings: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``better[a][h]`` from rankings listed best first."""
+    table = []
+    for ranking in rankings:
+        row = [0] * len(ranking)
+        above = 0
+        for h in ranking:
+            row[h] = above
+            above |= 1 << h
+        table.append(row)
+    return table
+
+
+def _envy_cycle(succ: Sequence[int]) -> list[int] | None:
+    """A cycle h1 -> h2 -> ... -> hk -> h1 of the house-space envy digraph
+    given by successor masks, or None when the digraph is acyclic.
+
+    A walk follows the least successor still in play. A house with no
+    successor in play is a sink: it is peeled, and the walk steps back.
+    A walk that reaches a house already on it has closed a cycle; a graph
+    peeled to nothing is acyclic. Every step but the last pushes or peels
+    a house, so the test ends within 2n + 1 steps.
+    """
+    live = (1 << len(succ)) - 1
+    path: list[int] = []
+    on_path = 0
+    while live:
+        if not path:
+            start = live & -live
+            path.append(start.bit_length() - 1)
+            on_path |= start
+        here = path[-1]
+        out = succ[here] & live
+        if not out:
+            path.pop()
+            gone = 1 << here
+            on_path ^= gone
+            live ^= gone
             continue
-        pair_count += 1
-        if _first_cycle(_succ_raw(ranks, perm)) is None:
-            pareto_count += 1
-    return pair_count, pareto_count
+        step = out & -out
+        nxt = step.bit_length() - 1
+        if on_path & step:
+            return path[path.index(nxt) :]
+        path.append(nxt)
+        on_path |= step
+    return None
+
+
+def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], bool]]:
+    """Every pair-efficient allocation, lexicographic on the assigned-house
+    sequence like ``itertools.permutations``, each with a flag that is
+    True when the allocation is also Pareto-efficient.
+
+    Backtracks over agents, trying free houses in ascending order. A
+    prefix dies as soon as the newly placed agent and an earlier one envy
+    each other: the candidates are the earlier houses the new agent
+    prefers to its own, and each is tested against its holder's envy mask.
+    """
+    n = len(better)
+    found: list[tuple[tuple[int, ...], bool]] = []
+    assign = [0] * n
+    succ = [0] * n
+    full = (1 << n) - 1
+    last = n - 1
+
+    def place(agent: int, free: int):
+        row = better[agent]
+        taken = full ^ free
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            h = bit.bit_length() - 1
+            wanted = row[h] & taken
+            while wanted:
+                g = wanted & -wanted
+                if succ[g.bit_length() - 1] & bit:
+                    break  # the holder of g envies this agent back
+                wanted ^= g
+            if wanted:
+                continue
+            assign[agent] = h
+            succ[h] = row[h]
+            if agent == last:
+                found.append((tuple(assign), _envy_cycle(succ) is None))
+            else:
+                place(agent + 1, free ^ bit)
+
+    place(0, full)
+    return found
+
+
+def _pair_slots(kind: str, colors: Sequence[str]) -> tuple[int, int]:
+    """Which two labels the extraction argument pairs up: the least
+    adjacent red/blue labels on single-peaked profiles, the extreme labels
+    b1 and bm on single-dipped ones."""
+    if kind != SINGLE_PEAKED:
+        return 0, len(colors) - 1
+    for i in range(len(colors) - 1):
+        if colors[i] == RED and colors[i + 1] == BLUE:
+            return i, i + 1
+    raise RuntimeError("no adjacent red/blue pair; witness coloring is broken")
+
+
+def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, int]:
+    """(dominated, validated) over all n! allocations of one profile whose
+    houses are numbered by their order position: ``ranks[a][p]`` is the
+    rank agent a gives the house at position p.
+
+    Each dominated allocation is traded along an envy cycle. In one pass,
+    on rank lookups rather than the masks that found the cycle, the trade
+    is checked to dominate, to move exactly the improvers and to close
+    over their houses. The improvers are then labelled by position and
+    coloured, the pair is picked by the extractors' rule, and both strict
+    comparisons are checked. Any failure raises, as the public witness
+    and extractor functions would.
+    """
+    n = len(ranks)
+    better = _better_table([sorted(range(n), key=r.__getitem__) for r in ranks])
+    by_house = [[row[p] for row in better] for p in range(n)]
+    dest = [0] * n
+    dominated = validated = 0
+    for owner in itertools.permutations(range(n)):
+        cycle = _envy_cycle(list(map(list.__getitem__, by_house, owner)))
+        if cycle is None:
+            continue
+        dominated += 1
+        k = len(cycle)
+        gave = got = 0
+        for i, p in enumerate(cycle):
+            q = cycle[i + 1 - k]
+            rank = ranks[owner[p]]
+            if rank[q] > rank[p]:
+                raise ValueError("nu does not Pareto-dominate mu at this profile")
+            if rank[q] == rank[p]:
+                raise ValueError("a non-improving agent changed houses")
+            gave |= 1 << p
+            got |= 1 << q
+            dest[p] = q
+        if gave != got:
+            raise ValueError("improving agents must trade houses among themselves")
+        slots = []
+        colors = []
+        while gave:
+            bit = gave & -gave
+            gave ^= bit
+            p = bit.bit_length() - 1
+            if dest[p] == p:
+                raise ValueError("an improving agent kept their house")
+            slots.append(p)
+            colors.append(RED if p < dest[p] else BLUE)
+        i, j = _pair_slots(kind, colors)
+        p_low, p_high = slots[i], slots[j]
+        r_low, r_high = ranks[owner[p_low]], ranks[owner[p_high]]
+        if not (r_low[p_high] < r_low[p_low] and r_high[p_low] < r_high[p_high]):
+            raise RuntimeError("extracted pair is not mutually envious")
+        validated += 1
+    return dominated, validated

@@ -23,7 +23,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .core import Allocation, BudgetError, Instance, Profile
+from .core import BRUTE_FORCE_MAX_AGENTS, Allocation, BudgetError, Instance, Profile
 from .domains import (
     SINGLE_DIPPED,
     SINGLE_PEAKED,
@@ -35,17 +35,23 @@ from .domains import (
     sample_profile,
 )
 from .efficiency import (
+    BLUE,
+    RED,
+    _better_table,
     _blocking_pair_raw,
-    _first_cycle,
-    _succ_raw,
+    _extraction_pass,
+    _pair_efficient,
+    _pair_slots,
     apply_cycle,
     brute_force_dominator,
     find_blocking_pair,
     pareto_dominates,
 )
 
-RED = "red"
-BLUE = "blue"
+_RECOGNIZERS = {
+    SINGLE_PEAKED: (is_single_peaked, "single-peaked"),
+    SINGLE_DIPPED: (is_single_dipped, "single-dipped"),
+}
 
 DEFAULT_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "REALLOT_BUDGET"
@@ -123,34 +129,32 @@ def build_witness(profile: Profile, mu: Allocation, nu: Allocation) -> Improveme
 
 
 def _require_witness(profile: Profile, mu: Allocation, witness: ImprovementWitness):
-    # In-place revalidation of every witness invariant against (mu, nu);
-    # equivalent to rebuilding, without the object churn.
-    nu = witness.nu
-    if not pareto_dominates(profile, nu, mu):
-        raise ValueError("witness nu does not Pareto-dominate mu")
-    pos = profile.order.position
-    tilde = [
-        a
-        for a, pref in enumerate(profile.prefs)
-        if pref.rank_of[nu.assign[a]] < pref.rank_of[mu.assign[a]]
-    ]
-    if sorted(tilde, key=lambda a: pos[mu.assign[a]]) != list(witness.labels):
-        raise ValueError("witness labels do not match this profile and allocation")
-    for i, b in enumerate(witness.labels):
-        expected = RED if pos[mu.assign[b]] < pos[nu.assign[b]] else BLUE
-        if mu.assign[b] == nu.assign[b] or witness.colors[i] != expected:
-            raise ValueError("witness colors do not match this profile and allocation")
-    for a in range(profile.n):
-        if a not in witness.tilde_a and mu.assign[a] != nu.assign[a]:
-            raise ValueError("witness breaks outside the improving set")
-    if {mu.assign[a] for a in tilde} != {nu.assign[a] for a in tilde}:
-        raise ValueError("witness trade set is not closed under the two allocations")
+    if build_witness(profile, mu, witness.nu) != witness:
+        raise ValueError("witness does not match this profile and allocation")
 
 
 @functools.lru_cache(maxsize=8192)
 def _family_ok(profile: Profile, kind: str) -> bool:
-    check = is_single_peaked if kind == SINGLE_PEAKED else is_single_dipped
+    check = _RECOGNIZERS[kind][0]
     return all(check(p, profile.order) for p in profile.prefs)
+
+
+def _extract_pair(
+    profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str
+) -> tuple[int, int]:
+    if not _family_ok(profile, kind):
+        check, family = _RECOGNIZERS[kind]
+        bad = next(a for a, p in enumerate(profile.prefs) if not check(p, profile.order))
+        raise ValueError(f"agent {bad} is not {family} under this order")
+    _require_witness(profile, mu, witness)
+    i, j = _pair_slots(kind, witness.colors)
+    low, high = witness.labels[i], witness.labels[j]
+    if not (
+        profile.prefs[low].prefers(mu.assign[high], mu.assign[low])
+        and profile.prefs[high].prefers(mu.assign[low], mu.assign[high])
+    ):
+        raise RuntimeError("extracted pair is not mutually envious")
+    return low, high
 
 
 def extract_blocking_pair_sp(
@@ -158,27 +162,7 @@ def extract_blocking_pair_sp(
 ) -> tuple[int, int]:
     """The least adjacent red/blue label pair; both agents strictly prefer
     each other's mu-house. Only valid on all-SP profiles."""
-    if not _family_ok(profile, SINGLE_PEAKED):
-        bad = next(
-            a
-            for a, p in enumerate(profile.prefs)
-            if not is_single_peaked(p, profile.order)
-        )
-        raise ValueError(f"agent {bad} is not single-peaked under this order")
-    _require_witness(profile, mu, witness)
-    labels, colors = witness.labels, witness.colors
-    for i in range(len(labels) - 1):
-        if colors[i] == RED and colors[i + 1] == BLUE:
-            low, high = labels[i], labels[i + 1]
-            break
-    else:
-        raise RuntimeError("no adjacent red/blue pair; witness coloring is broken")
-    if not (
-        profile.prefs[low].prefers(mu.assign[high], mu.assign[low])
-        and profile.prefs[high].prefers(mu.assign[low], mu.assign[high])
-    ):
-        raise RuntimeError("extracted pair is not mutually envious")
-    return low, high
+    return _extract_pair(profile, mu, witness, SINGLE_PEAKED)
 
 
 def extract_blocking_pair_sd(
@@ -186,21 +170,7 @@ def extract_blocking_pair_sd(
 ) -> tuple[int, int]:
     """The extreme label pair (b1, bm); both agents strictly prefer each
     other's mu-house. Only valid on all-SD profiles."""
-    if not _family_ok(profile, SINGLE_DIPPED):
-        bad = next(
-            a
-            for a, p in enumerate(profile.prefs)
-            if not is_single_dipped(p, profile.order)
-        )
-        raise ValueError(f"agent {bad} is not single-dipped under this order")
-    _require_witness(profile, mu, witness)
-    low, high = witness.labels[0], witness.labels[-1]
-    if not (
-        profile.prefs[low].prefers(mu.assign[high], mu.assign[low])
-        and profile.prefs[high].prefers(mu.assign[low], mu.assign[high])
-    ):
-        raise RuntimeError("extracted pair is not mutually envious")
-    return low, high
+    return _extract_pair(profile, mu, witness, SINGLE_DIPPED)
 
 
 @dataclass(frozen=True)
@@ -253,21 +223,20 @@ class EquivalenceReport:
         return not self.violations
 
 
+def _gap_allocations(profile: Profile) -> list[tuple[int, ...]]:
+    """The pair-efficient yet Pareto-dominated allocations of one profile,
+    in lexicographic order."""
+    found = _pair_efficient(_better_table([p.ranking for p in profile.prefs]))
+    return [assign for assign, efficient in found if not efficient]
+
+
 def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
     """Scan all allocations of one profile for the pair-efficient yet
     dominated ones; the dominating partner comes from the brute-force
     oracle, independent of the cycle checker that spotted the gap."""
-    ranks = [p.rank_of for p in profile.prefs]
-    n = profile.n
-    allocations = 0
     found: list[Violation] = []
-    for perm in itertools.permutations(range(n)):
-        allocations += 1
-        if _blocking_pair_raw(ranks, perm) is not None:
-            continue
-        if _first_cycle(_succ_raw(ranks, perm)) is None:
-            continue
-        mu = Allocation(perm)
+    for assign in _gap_allocations(profile):
+        mu = Allocation(assign)
         nu = brute_force_dominator(profile, mu)
         if nu is None:
             raise RuntimeError("cycle checker and brute-force oracle disagree")
@@ -275,7 +244,7 @@ def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
         if find_blocking_pair(profile, mu) is not None:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))
-    return allocations, found
+    return math.factorial(profile.n), found
 
 
 def _definitional_spot_check(profile: Profile):
@@ -357,9 +326,12 @@ def _scan_random_task(args) -> tuple[int, int, list[Violation]]:
 
 
 def _run_tasks(task_fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    # Never more workers than cores or tasks: a randomized sweep makes one
+    # task per trial when jobs is large.
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [task_fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task_fn, tasks))
 
 
@@ -382,8 +354,8 @@ def verify_equivalence(
     implication is vacuous there). Worker count never changes the report:
     partitions are merged in canonical order and violations re-sorted.
     """
-    if n > 8:
-        raise BudgetError("domain sweeps are guarded to n <= 8")
+    if n > BRUTE_FORCE_MAX_AGENTS:
+        raise BudgetError(f"domain sweeps are guarded to n <= {BRUTE_FORCE_MAX_AGENTS}")
     instance = Instance.default(n)
     budget = _resolve_budget(budget)
     fact = math.factorial(n)
@@ -480,57 +452,34 @@ def find_gap_witness(
                 yield sample_profile(spec, instance, s)
 
     for profile in profiles():
-        ranks = [p.rank_of for p in profile.prefs]
-        for perm in itertools.permutations(range(n)):
-            if _blocking_pair_raw(ranks, perm) is not None:
-                continue
-            if _first_cycle(_succ_raw(ranks, perm)) is None:
-                continue
-            mu = Allocation(perm)
-            nu = brute_force_dominator(profile, mu)
-            if nu is None:
-                raise RuntimeError("cycle checker and brute-force oracle disagree")
-            if find_blocking_pair(profile, mu) is not None or not pareto_dominates(
-                profile, nu, mu
-            ):
-                raise RuntimeError("gap candidate failed re-validation")
-            return profile, mu, nu
+        gaps = _gap_allocations(profile)
+        if not gaps:
+            continue
+        mu = Allocation(gaps[0])
+        nu = brute_force_dominator(profile, mu)
+        if nu is None:
+            raise RuntimeError("cycle checker and brute-force oracle disagree")
+        if find_blocking_pair(profile, mu) is not None or not pareto_dominates(profile, nu, mu):
+            raise RuntimeError("gap candidate failed re-validation")
+        return profile, mu, nu
     return None
 
 
 def validate_extraction_claims(profile: Profile, kind: str) -> tuple[int, int]:
-    """Run the pair extractor over every dominated allocation of a profile.
+    """Run the pair extraction over every dominated allocation of a profile.
 
     For each dominated mu, a dominating nu is materialized by trading
-    along an improving cycle, the witness is built, the extractor picks
-    its pair, and both strict comparisons are re-verified with direct
-    preference lookups. Returns (dominated, validated); anything short of
-    equality raises.
+    along an improving cycle, the witness invariants are checked, the
+    pair is picked by the extractors' rule, and both strict comparisons
+    are re-verified with direct rank lookups. The family is checked once.
+    Returns (dominated, validated); anything short of equality raises.
     """
     if kind not in (SINGLE_PEAKED, SINGLE_DIPPED):
         raise ValueError("kind must be 'sp' or 'sd'")
-    extract = extract_blocking_pair_sp if kind == SINGLE_PEAKED else extract_blocking_pair_sd
-    check = is_single_peaked if kind == SINGLE_PEAKED else is_single_dipped
+    check = _RECOGNIZERS[kind][0]
     for a, pref in enumerate(profile.prefs):
         if not check(pref, profile.order):
             raise ValueError(f"agent {a} is outside the {kind} family")
-    n = profile.n
-    ranks = [p.rank_of for p in profile.prefs]
-    dominated = 0
-    validated = 0
-    for perm in itertools.permutations(range(n)):
-        cycle = _first_cycle(_succ_raw(ranks, perm))
-        if cycle is None:
-            continue
-        dominated += 1
-        mu = Allocation(perm)
-        nu = apply_cycle(mu, cycle)
-        witness = build_witness(profile, mu, nu)
-        low, high = extract(profile, mu, witness)
-        if profile.prefs[low].prefers(mu.assign[high], mu.assign[low]) and profile.prefs[
-            high
-        ].prefers(mu.assign[low], mu.assign[high]):
-            validated += 1
-        else:
-            raise RuntimeError("extracted pair failed direct verification")
-    return dominated, validated
+    by_position = profile.order.by_rank
+    ranks = [[p.rank_of[h] for h in by_position] for p in profile.prefs]
+    return _extraction_pass(ranks, kind)

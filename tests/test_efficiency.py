@@ -3,11 +3,17 @@ import random
 
 import pytest
 
-from reallot.core import Allocation, BudgetError, Instance, Preference, Profile
+from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import DomainSpec, sample_profile
 from reallot.efficiency import (
     EnvyGraph,
     ImprovingCycle,
+    _better_table,
+    _blocking_pair_raw,
+    _envy_cycle,
+    _first_cycle,
+    _pair_efficient,
+    _succ_raw,
     apply_cycle,
     brute_force_dominator,
     count_efficient,
@@ -221,3 +227,64 @@ def test_allocation_size_mismatch_rejected(gap_example):
         find_blocking_pair(profile, Allocation((0, 1, 2, 3)))
     with pytest.raises(ValueError):
         pareto_dominates(profile, Allocation((0, 1, 2, 3)), Allocation((0, 1, 2, 3)))
+
+
+# --- the per-profile kernel against the per-allocation oracles ---------------
+
+KERNEL_SPECS = ("sp", "sd", "all", "sp,sd,sp,sd,sp", "sd,sd,sp,sp,sd")
+
+
+def kernel_profiles(order_seed=None):
+    """Every profile at n = 3 and sampled profiles at n = 4 and 5, for each
+    spec in KERNEL_SPECS (a comma spec is cut to the first n agents)."""
+    rng = random.Random(order_seed)
+    for n, count in ((3, None), (4, 12), (5, 5)):
+        order = (
+            LinearOrder(tuple(rng.sample(range(n), n)))
+            if order_seed is not None
+            else LinearOrder.identity(n)
+        )
+        inst = Instance.default(n, order)
+        for text in KERNEL_SPECS:
+            spec = DomainSpec.parse(",".join(text.split(",")[:n]), n)
+            if count is None:
+                lists = [spec.admissible(order, a) for a in range(n)]
+                for combo in itertools.product(*lists):
+                    yield Profile(inst, combo)
+            else:
+                for seed in range(count):
+                    yield sample_profile(spec, inst, seed)
+
+
+def flat_pair_efficient(profile):
+    # The literal scan the kernel replaced: every permutation through the
+    # blocking-pair test, then the DFS cycle test.
+    ranks = [p.rank_of for p in profile.prefs]
+    return [
+        (perm, _first_cycle(_succ_raw(ranks, perm)) is None)
+        for perm in itertools.permutations(range(profile.n))
+        if _blocking_pair_raw(ranks, perm) is None
+    ]
+
+
+def test_pruned_enumeration_matches_the_flat_scan():
+    for profile in itertools.chain(kernel_profiles(), kernel_profiles(order_seed=2)):
+        flat = flat_pair_efficient(profile)
+        assert _pair_efficient(_better_table([p.ranking for p in profile.prefs])) == flat
+        assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
+
+
+def test_envy_cycle_agrees_with_brute_force_on_every_allocation():
+    for profile in kernel_profiles():
+        better = _better_table([p.ranking for p in profile.prefs])
+        for perm in itertools.permutations(range(profile.n)):
+            succ = [0] * profile.n
+            for a, h in enumerate(perm):
+                succ[h] = better[a][h]
+            cycle = _envy_cycle(succ)
+            dominated = brute_force_dominator(profile, Allocation(perm)) is not None
+            assert (cycle is not None) == dominated
+            if cycle is not None:
+                assert len(set(cycle)) == len(cycle) >= 2
+                for i, h in enumerate(cycle):
+                    assert succ[h] >> cycle[(i + 1) % len(cycle)] & 1

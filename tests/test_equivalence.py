@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from reallot.core import Allocation, BudgetError, Instance, Profile
+from reallot import equivalence
+from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Profile
 from reallot.domains import DomainSpec, sample_profile
 from reallot.efficiency import (
     EnvyGraph,
@@ -171,6 +172,29 @@ def test_validate_extraction_claims_counts():
         validate_extraction_claims(profile, "nope")
 
 
+def test_validate_extraction_claims_counts_every_dominated_allocation():
+    # Every profile at n = 3, sampled ones at n = 4 and 5, under the
+    # identity order and a scrambled one: the dominated count is the
+    # brute-force oracle's.
+    rng = random.Random(31)
+    for n, count in ((3, None), (4, 10), (5, 4)):
+        for order in (LinearOrder.identity(n), LinearOrder(tuple(rng.sample(range(n), n)))):
+            inst = Instance.default(n, order)
+            for kind in ("sp", "sd"):
+                spec = DomainSpec((kind,) * n)
+                if count is None:
+                    lists = [spec.admissible(order, a) for a in range(n)]
+                    profiles = [Profile(inst, c) for c in itertools.product(*lists)]
+                else:
+                    profiles = [sample_profile(spec, inst, s) for s in range(count)]
+                for profile in profiles:
+                    dominated = sum(
+                        brute_force_dominator(profile, Allocation(a)) is not None
+                        for a in itertools.permutations(range(n))
+                    )
+                    assert validate_extraction_claims(profile, kind) == (dominated, dominated)
+
+
 def test_verify_equivalence_clean_domains():
     for spec in (DomainSpec.all_single_peaked(3), DomainSpec.all_single_dipped(3)):
         report = verify_equivalence(spec, 3, Scope.exhaustive())
@@ -268,3 +292,40 @@ def test_find_gap_witness_sampling_path():
     spec = DomainSpec.parse("sp,sd,sp", 3)
     found = find_gap_witness(spec, 3, seed=1, trials=200, budget=50)
     assert found is not None
+
+
+def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker count
+        asked for and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(equivalence, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(equivalence.os, "cpu_count", lambda: 4)
+    assert equivalence._run_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 10_000) == list(range(9, 0, -1))
+    assert equivalence._run_tasks(abs, [-1, -2], 1) == [1, 2]
+    assert sizes == [3, 4]
+
+    spec = DomainSpec.parse("sp,sd,sp", 3)
+    scope = Scope.randomized(seed=9, trials=40)
+    wide = verify_equivalence(spec, 3, scope, jobs=1_000_000)
+    assert sizes[-1] == 4
+    assert wide == verify_equivalence(spec, 3, scope, jobs=1)
+
+    monkeypatch.setattr(equivalence.os, "cpu_count", lambda: None)
+    assert equivalence._run_tasks(abs, [-1, -2], 8) == [1, 2]
+    assert len(sizes) == 3
