@@ -6,7 +6,7 @@ per agent. In canonical form the house indices follow the order line, so
 parse and serialize round-trip byte-identically.
 
 Exit codes: 0 all requested checks pass, 1 semantic failure, 2 input
-error, 3 budget or guard exceeded.
+error, 3 budget or guard exceeded, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -479,6 +479,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

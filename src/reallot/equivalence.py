@@ -20,7 +20,6 @@ import itertools
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import BRUTE_FORCE_MAX_AGENTS, Allocation, BudgetError, Instance, Profile
@@ -263,51 +262,88 @@ def _definitional_spot_check(profile: Profile):
         return
 
 
-def _cartesian_lists(spec: DomainSpec, instance: Instance):
+def _phases(spec: DomainSpec) -> tuple[str | None, ...]:
+    """The halves an exhaustive sweep takes in turn: all-SP then all-SD for
+    a union spec, the one phase None for a Cartesian spec."""
+    return (SINGLE_PEAKED, SINGLE_DIPPED) if spec.union_mode else (None,)
+
+
+def _phase_lists(spec: DomainSpec, instance: Instance, phase: str | None):
+    """Per-agent admissible lists of a phase, in canonical order."""
+    if phase is not None:
+        spec = DomainSpec((phase,) * instance.n)
     return [spec.admissible(instance.order, a) for a in range(instance.n)]
 
 
-def _union_lists(spec: DomainSpec, instance: Instance, phase: str):
-    kind_spec = DomainSpec((phase,) * instance.n)
-    return _cartesian_lists(kind_spec, instance)
+def _swept_before(instance: Instance, phase: str | None) -> set:
+    """Preferences whose all-alike profiles an earlier phase covered: the
+    two monotone rankings, SP and SD both, are swept in the SP half."""
+    if phase != SINGLE_DIPPED:
+        return set()
+    return {monotone_increasing(instance.order), monotone_decreasing(instance.order)}
 
 
-def _scan_cartesian_task(args) -> tuple[int, int, list[Violation]]:
-    spec, n, first_idx = args
-    instance = Instance.default(n)
-    lists = _cartesian_lists(spec, instance)
-    first = lists[0][first_idx]
-    profiles = 0
-    allocations = 0
-    violations: list[Violation] = []
-    for rest in itertools.product(*lists[1:]):
-        profile = Profile(instance, (first, *rest))
-        profiles += 1
-        scanned, found = _scan_profile_for_gaps(profile)
-        allocations += scanned
-        violations.extend(found)
-    return profiles, allocations, violations
+def _multinomial(combo: tuple[int, ...]) -> int:
+    """How many distinct orderings a sorted index multiset has."""
+    count = math.factorial(len(combo))
+    for i in set(combo):
+        count //= math.factorial(combo.count(i))
+    return count
 
 
-def _scan_union_task(args) -> tuple[int, int, list[Violation]]:
+def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
+    """Scan one profile per orbit of agent relabellings.
+
+    Agents whose admissible lists are equal form a group; an orbit picks a
+    multiset of list indices per group, and this task takes the orbits whose
+    first group's least index is ``first_idx``. Relabelling agents together
+    with their preferences moves no allocation in or out of pair- or
+    Pareto-efficiency, so an orbit whose representative has no gap is
+    counted by its size unscanned, and only an orbit with a gap has every
+    member scanned. ``phase`` is None for a Cartesian spec, else the
+    union half being swept.
+    """
     spec, n, phase, first_idx = args
     instance = Instance.default(n)
-    lists = _union_lists(spec, instance, phase)
-    first = lists[0][first_idx]
-    monotone = {monotone_increasing(instance.order), monotone_decreasing(instance.order)}
+    skip = _swept_before(instance, phase)
+    groups: dict[tuple, list[int]] = {}
+    for a, lst in enumerate(_phase_lists(spec, instance, phase)):
+        groups.setdefault(lst, []).append(a)
+    choices = []
+    for lst, agents in groups.items():
+        if choices:
+            combos = itertools.combinations_with_replacement(range(len(lst)), len(agents))
+        else:
+            rest = itertools.combinations_with_replacement(
+                range(first_idx, len(lst)), len(agents) - 1
+            )
+            combos = ((first_idx, *c) for c in rest)
+        choices.append([(c, _multinomial(c)) for c in combos])
+
+    def profile_of(picks) -> Profile:
+        prefs = [None] * n
+        for (lst, agents), combo in zip(groups.items(), picks):
+            for a, i in zip(agents, combo):
+                prefs[a] = lst[i]
+        return Profile(instance, tuple(prefs))
+
     profiles = 0
-    allocations = 0
     violations: list[Violation] = []
-    for rest in itertools.product(*lists[1:]):
-        prefs = (first, *rest)
-        if phase == SINGLE_DIPPED and all(p in monotone for p in prefs):
-            continue  # already covered by the all-SP phase
-        profile = Profile(instance, prefs)
-        profiles += 1
-        scanned, found = _scan_profile_for_gaps(profile)
-        allocations += scanned
+    for orbit in itertools.product(*choices):
+        picks = tuple(c for c, _ in orbit)
+        representative = profile_of(picks)
+        if all(p in skip for p in representative.prefs):
+            continue
+        profiles += math.prod(w for _, w in orbit)
+        found = _scan_profile_for_gaps(representative)[1]
+        if not found:
+            continue
         violations.extend(found)
-    return profiles, allocations, violations
+        orderings = [sorted(set(itertools.permutations(c))) for c in picks]
+        for member in itertools.product(*orderings):
+            if member != picks:
+                violations.extend(_scan_profile_for_gaps(profile_of(member))[1])
+    return profiles, profiles * math.factorial(n), violations
 
 
 def _scan_random_task(args) -> tuple[int, int, list[Violation]]:
@@ -325,13 +361,21 @@ def _scan_random_task(args) -> tuple[int, int, list[Violation]]:
     return profiles, allocations, violations
 
 
+# The pool class is imported when a sweep first runs in parallel, so that
+# importing the package does not load multiprocessing; tests may set a fake.
+ProcessPoolExecutor = None
+
+
 def _run_tasks(task_fn, tasks, jobs: int):
     # Never more workers than cores or tasks: a randomized sweep makes one
     # task per trial when jobs is large.
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [task_fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_class = ProcessPoolExecutor
+    if pool_class is None:
+        from concurrent.futures import ProcessPoolExecutor as pool_class
+    with pool_class(max_workers=workers) as pool:
         return list(pool.map(task_fn, tasks))
 
 
@@ -351,9 +395,13 @@ def verify_equivalence(
 
     The reverse implication is definitional and spot-checked once per run.
     Allocations that already fail pair-efficiency are pruned (the
-    implication is vacuous there). Worker count never changes the report:
-    partitions are merged in canonical order and violations re-sorted.
+    implication is vacuous there). An exhaustive sweep scans one profile
+    per orbit of agent relabellings and counts each orbit by its size.
+    Worker count never changes the report: partitions are merged in
+    canonical order and violations re-sorted. ``jobs`` must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n > BRUTE_FORCE_MAX_AGENTS:
         raise BudgetError(f"domain sweeps are guarded to n <= {BRUTE_FORCE_MAX_AGENTS}")
     instance = Instance.default(n)
@@ -364,28 +412,22 @@ def verify_equivalence(
         checks = spec.space_size(instance.order) * fact
         if checks > budget:
             raise BudgetError(f"exhaustive sweep needs {checks} checks, budget is {budget}")
-        if spec.union_mode:
-            sp_first = len(_union_lists(spec, instance, SINGLE_PEAKED)[0])
-            sd_first = len(_union_lists(spec, instance, SINGLE_DIPPED)[0])
-            tasks = [(spec, n, SINGLE_PEAKED, i) for i in range(sp_first)] + [
-                (spec, n, SINGLE_DIPPED, i) for i in range(sd_first)
-            ]
-            task_fn = _scan_union_task
-            first_profile = Profile(
-                instance, (_union_lists(spec, instance, SINGLE_PEAKED)[0][0],) * n
-            )
-        else:
-            lists = _cartesian_lists(spec, instance)
-            tasks = [(spec, n, i) for i in range(len(lists[0]))]
-            task_fn = _scan_cartesian_task
-            first_profile = Profile(instance, tuple(lst[0] for lst in lists))
+        phases = _phases(spec)
+        tasks = [
+            (spec, n, phase, i)
+            for phase in phases
+            for i in range(len(_phase_lists(spec, instance, phase)[0]))
+        ]
+        task_fn = _scan_orbit_task
+        first_lists = _phase_lists(spec, instance, phases[0])
+        first_profile = Profile(instance, tuple(lst[0] for lst in first_lists))
     else:
         trials = scope.trials or 0
         checks = trials * fact
         if checks > budget:
             raise BudgetError(f"randomized sweep needs {checks} checks, budget is {budget}")
         master = _trial_seeds(scope.seed, trials)
-        chunk = max(1, math.ceil(trials / max(jobs, 1) / 4))
+        chunk = max(1, math.ceil(trials / jobs / 4))
         tasks = [
             (spec, n, master[i : i + chunk]) for i in range(0, trials, chunk)
         ]
@@ -432,21 +474,11 @@ def find_gap_witness(
 
     def profiles():
         if spec.space_size(instance.order) * fact <= budget:
-            if spec.union_mode:
-                for phase in (SINGLE_PEAKED, SINGLE_DIPPED):
-                    lists = _union_lists(spec, instance, phase)
-                    monotone = {
-                        monotone_increasing(instance.order),
-                        monotone_decreasing(instance.order),
-                    }
-                    for prefs in itertools.product(*lists):
-                        if phase == SINGLE_DIPPED and all(p in monotone for p in prefs):
-                            continue
+            for phase in _phases(spec):
+                skip = _swept_before(instance, phase)
+                for prefs in itertools.product(*_phase_lists(spec, instance, phase)):
+                    if not all(p in skip for p in prefs):
                         yield Profile(instance, prefs)
-            else:
-                lists = _cartesian_lists(spec, instance)
-                for prefs in itertools.product(*lists):
-                    yield Profile(instance, prefs)
         else:
             for s in _trial_seeds(seed, trials):
                 yield sample_profile(spec, instance, s)

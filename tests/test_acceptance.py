@@ -91,6 +91,19 @@ def test_criterion_2_equivalence_exhaustive_small():
     _passed(f"criterion 2 (exhaustive n=3,4 sweeps, {elapsed:.2f}s)")
 
 
+def test_exhaustive_certification_at_n5():
+    # One size beyond the default budget: every all-SP and every all-SD
+    # profile at n = 5, scanned one profile per agent-relabelling orbit.
+    start = time.perf_counter()
+    for spec in (DomainSpec.all_single_peaked(5), DomainSpec.all_single_dipped(5)):
+        report = verify_equivalence(spec, 5, Scope.exhaustive(), budget=125_829_120)
+        assert report.violations == ()
+        assert report.profiles_checked == 1_048_576
+        assert report.allocations_checked == 125_829_120
+    elapsed = time.perf_counter() - start
+    _passed(f"exhaustive n=5 certification ({elapsed:.1f}s)")
+
+
 def test_criterion_3_equivalence_randomized_n6():
     start = time.perf_counter()
     for spec, seed in (

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from reallot import equivalence
 from reallot.cli import (
     main,
     parse_allocation,
@@ -221,6 +227,44 @@ def test_verify_budget_exit(monkeypatch, capsys):
     monkeypatch.setenv("REALLOT_BUDGET", "5")
     assert main(["verify", "--domain", "sp", "--n", "3", "--exhaustive"]) == 3
     capsys.readouterr()
+
+
+def test_verify_n5_exhaustive_is_refused_by_the_default_budget(monkeypatch, capsys):
+    monkeypatch.delenv("REALLOT_BUDGET", raising=False)
+    assert main(["verify", "--domain", "sp", "--n", "5", "--exhaustive"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: exhaustive sweep needs 125829120 checks, budget is 100000000\n"
+
+
+def test_verify_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-3"):
+        args = ["verify", "--domain", "sp", "--n", "3", "--exhaustive", "--jobs", jobs]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_internal_invariant_failure_exits_four(monkeypatch, capsys):
+    # An oracle that finds no dominator for a gap the cycle checker saw.
+    monkeypatch.setattr(equivalence, "brute_force_dominator", lambda profile, mu: None)
+    assert main(["verify", "--domain", "sp,sd,sp", "--n", "3", "--exhaustive"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: cycle checker and brute-force oracle disagree\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    src = str(Path(equivalence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, reallot.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_synth_command_writes_expected_bundle(tmp_path, capsys):

@@ -1,11 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from reallot import equivalence
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Profile
-from reallot.domains import DomainSpec, sample_profile
+from reallot.domains import (
+    DomainSpec,
+    enumerate_all_preferences,
+    monotone_decreasing,
+    monotone_increasing,
+    sample_profile,
+)
 from reallot.efficiency import (
     EnvyGraph,
     brute_force_dominator,
@@ -16,6 +23,7 @@ from reallot.efficiency import (
 from reallot.equivalence import (
     BLUE,
     RED,
+    EquivalenceReport,
     ImprovementWitness,
     Scope,
     build_witness,
@@ -219,6 +227,58 @@ def test_verify_equivalence_finds_the_mixed_gap(gap_example):
     for v in report.violations:
         assert find_blocking_pair(v.profile, v.mu) is None
         assert pareto_dominates(v.profile, v.witness.nu, v.mu)
+
+
+def _unreduced_exhaustive_sweep(spec, n):
+    """The report of scanning every profile of the domain in turn, with
+    the union halves' shared all-monotone profiles taken once."""
+    inst = Instance.default(n)
+    monotone = {monotone_increasing(inst.order), monotone_decreasing(inst.order)}
+    if spec.union_mode:
+        phases = [(DomainSpec.all_single_peaked(n), False), (DomainSpec.all_single_dipped(n), True)]
+    else:
+        phases = [(spec, False)]
+    profiles = 0
+    violations = []
+    for phase_spec, dedup in phases:
+        lists = [phase_spec.admissible(inst.order, a) for a in range(n)]
+        for prefs in itertools.product(*lists):
+            if dedup and all(p in monotone for p in prefs):
+                continue
+            profiles += 1
+            violations += equivalence._scan_profile_for_gaps(Profile(inst, prefs))[1]
+    violations.sort(key=lambda v: (tuple(p.ranking for p in v.profile.prefs), v.mu.assign))
+    return EquivalenceReport(
+        spec, Scope.exhaustive(), profiles, profiles * math.factorial(n), tuple(violations)
+    )
+
+
+def test_orbit_sweep_matches_the_unreduced_sweep():
+    every = list(enumerate_all_preferences(3))
+    explicit = DomainSpec((tuple(every[:4]), "sd", tuple(every[:4])))
+    specs = [
+        (DomainSpec.parse(text, 3), 3)
+        for text in ("sp", "sd", "all", "union", "sp,sd,sp", "sd,sp,sd")
+    ]
+    specs.append((explicit, 3))
+    specs += [
+        (DomainSpec.parse(text, 4), 4)
+        for text in ("sp", "sd", "union", "sp,sd,sp,sd", "sp,sp,sd,sd")
+    ]
+    for spec, n in specs:
+        report = verify_equivalence(spec, n, Scope.exhaustive())
+        assert report == _unreduced_exhaustive_sweep(spec, n), (spec.describe(), n)
+    union = DomainSpec.union(4)
+    assert verify_equivalence(union, 4, Scope.exhaustive(), jobs=1) == verify_equivalence(
+        union, 4, Scope.exhaustive(), jobs=2
+    )
+
+
+def test_verify_equivalence_rejects_nonpositive_jobs():
+    for jobs in (0, -3):
+        for scope in (Scope.exhaustive(), Scope.randomized(seed=1, trials=5)):
+            with pytest.raises(ValueError):
+                verify_equivalence(DomainSpec.all_single_peaked(3), 3, scope, jobs=jobs)
 
 
 def test_verify_equivalence_randomized_subset_of_exhaustive():
