@@ -268,6 +268,8 @@ class DomainSpec:
                 for p in explicit:
                     if not isinstance(p, Preference):
                         raise ValueError("explicit entries must hold Preference values")
+                if len(set(explicit)) != len(explicit):
+                    raise ValueError("explicit preference list repeats a preference")
                 entries.append(explicit)
         object.__setattr__(self, "per_agent", tuple(entries))
         object.__setattr__(self, "size", len(entries))

@@ -1,10 +1,10 @@
 """Allocation rules and rule-level property harnesses.
 
-The top-trading-cycles rule is the workhorse: every round, each remaining
-agent points at the owner of their best remaining house, every cycle of
-pointers trades simultaneously and leaves. The harnesses sweep domains
-for manipulation opportunities and for the pair/Pareto behavior of TTC on
-all-single-dipped profiles.
+The top-trading-cycles rule is the workhorse, run by following pointers to
+the owner of each agent's best remaining house until they close a cycle.
+The harnesses sweep domains for manipulation opportunities, memoising the
+rule's outcome per distinct profile, and for the pair/Pareto behavior of
+TTC on all-single-dipped profiles.
 """
 
 from __future__ import annotations
@@ -32,55 +32,42 @@ class Rule:
 
 
 def ttc(profile: Profile) -> Allocation:
-    """Top trading cycles from the instance's endowment."""
+    """Top trading cycles from the instance's endowment.
+
+    Pointers are followed from the least unassigned agent until they close
+    a cycle, which trades and leaves; the outcome does not depend on the
+    order in which cycles leave.
+    """
     n = profile.n
-    endow = profile.instance.endowment
-    owner = [-1] * n  # house -> owning agent, among the remaining
-    for agent, house in enumerate(endow):
+    owner = [0] * n  # house -> agent endowed with it
+    for agent, house in enumerate(profile.instance.endowment):
         owner[house] = agent
     ranks = [p.ranking for p in profile.prefs]
-    pointer = [0] * n  # per-agent cursor into their ranking
-    active = [True] * n
-    house_left = [True] * n
-    assigned = [-1] * n
-    remaining = n
-    while remaining:
-        target = [-1] * n
-        best = [-1] * n
-        for a in range(n):
-            if not active[a]:
-                continue
+    cursor = [0] * n  # per-agent index of their best house still on the market
+    assigned = [-1] * n  # a house leaves the market with its owner
+    at = [-1] * n  # agent -> position on the path
+    for start in range(n):
+        if assigned[start] >= 0:
+            continue
+        path = [start]
+        at[start] = 0
+        while path:
+            # Pointers below the top still land on the path, since only
+            # the houses of a closed cycle leave; recompute the top only.
+            a = path[-1]
             r = ranks[a]
-            i = pointer[a]
-            while not house_left[r[i]]:
+            i = cursor[a]
+            while assigned[owner[r[i]]] >= 0:
                 i += 1
-            pointer[a] = i
-            best[a] = r[i]
-            target[a] = owner[r[i]]
-        # Every pointer cycle trades at once; disjointness makes the
-        # round order irrelevant.
-        color = [0] * n
-        cycles: list[list[int]] = []
-        for a in range(n):
-            if not active[a] or color[a]:
+            cursor[a] = i
+            b = owner[r[i]]
+            if at[b] < 0:
+                at[b] = len(path)
+                path.append(b)
                 continue
-            path = []
-            x = a
-            while color[x] == 0:
-                color[x] = 1
-                path.append(x)
-                x = target[x]
-            if color[x] == 1:
-                cycles.append(path[path.index(x) :])
-            for y in path:
-                color[y] = 2
-        for cycle in cycles:
-            for agent in cycle:
-                assigned[agent] = best[agent]
-            for agent in cycle:
-                active[agent] = False
-                house_left[best[agent]] = False
-                remaining -= 1
+            for x in path[at[b] :]:
+                assigned[x] = ranks[x][cursor[x]]
+            del path[at[b] :]
     return Allocation(tuple(assigned))
 
 
@@ -191,49 +178,51 @@ def check_strategy_proofness(
         raise ValueError("misreport scans need per-agent preference sets")
     instance = Instance.default(n)
     budget = _resolve_budget(budget)
-    sizes = [len(spec.admissible(instance.order, a)) for a in range(n)]
+    lists = [spec.admissible(instance.order, a) for a in range(n)]
+    sizes = [len(prefs) for prefs in lists]
     per_profile = sum(s - 1 for s in sizes)
-    if scope.kind == "exhaustive":
-        cases = math.prod(sizes) * per_profile
-    else:
-        cases = (scope.trials or 0) * per_profile
+    count = math.prod(sizes) if scope.kind == "exhaustive" else scope.trials or 0
+    cases = count * per_profile
     if cases > budget:
         raise BudgetError(f"misreport sweep needs {cases} cases, budget is {budget}")
 
-    cache: dict[tuple[Preference, ...], Allocation] = {}
+    # A profile is coded as sum(idx[a] * strides[a]) over its list indices,
+    # the last agent fastest, so range() runs in itertools.product order.
+    strides = [math.prod(sizes[a + 1 :]) for a in range(n)]
+    codes = range(count)
+    if scope.kind != "exhaustive":
+        index = [{p: j for j, p in enumerate(prefs)} for prefs in lists]
+        seeds = _trial_seeds(scope.seed, count)
+        samples = (sample_profile(spec, instance, seed).prefs for seed in seeds)
+        codes = (sum(index[a][p] * strides[a] for a, p in enumerate(prefs)) for prefs in samples)
 
-    def outcome(profile: Profile) -> Allocation:
-        key = profile.prefs
-        hit = cache.get(key)
-        if hit is None:
-            hit = rule(profile)
-            cache[key] = hit
-        return hit
+    def profile_of(code: int) -> Profile:
+        return Profile(instance, tuple(lists[a][code // strides[a] % sizes[a]] for a in range(n)))
 
+    cache: dict[int, tuple[int, ...]] = {}  # code -> the rule's assignment
     profiles = 0
-    checked = 0
     violations: list[Manipulation] = []
-    for profile in _profiles_in_scope(spec, instance, scope):
+    for code in codes:
         profiles += 1
-        truthful = outcome(profile)
-        for agent in range(n):
-            true_pref = profile.prefs[agent]
-            for lie in spec.admissible(instance.order, agent):
-                if lie == true_pref:
+        if code not in cache:
+            cache[code] = rule(profile_of(code)).assign
+        truthful = cache[code]
+        for agent, stride in enumerate(strides):
+            own = code // stride % sizes[agent]
+            rank = lists[agent][own].rank_of
+            mine = truthful[agent]
+            for j in range(sizes[agent]):
+                if j == own:
                     continue
-                checked += 1
-                lied = outcome(profile.with_pref(agent, lie))
-                if true_pref.prefers(lied.assign[agent], truthful.assign[agent]):
+                lie = code + (j - own) * stride
+                if lie not in cache:
+                    cache[lie] = rule(profile_of(lie)).assign
+                house = cache[lie][agent]
+                if rank[house] < rank[mine]:
                     violations.append(
-                        Manipulation(
-                            profile,
-                            agent,
-                            lie,
-                            truthful.assign[agent],
-                            lied.assign[agent],
-                        )
+                        Manipulation(profile_of(code), agent, lists[agent][j], mine, house)
                     )
-    return StrategyProofnessReport(rule.name, profiles, checked, tuple(violations))
+    return StrategyProofnessReport(rule.name, profiles, profiles * per_profile, tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,15 @@ def test_domain_spec_parsing_and_description():
         DomainSpec((("sp",), ()))  # empty explicit list
 
 
+def test_explicit_lists_reject_repeated_preferences():
+    every = list(enumerate_all_preferences(3))
+    with pytest.raises(ValueError, match="repeats"):
+        DomainSpec(((every[0], every[0], every[5]),) * 3)
+    # A list equal to another agent's is fine; only repeats within one list.
+    spec = DomainSpec(((every[0], every[5]),) * 3)
+    assert spec.space_size(LinearOrder.identity(3)) == 8
+
+
 def test_space_sizes():
     order = LinearOrder.identity(3)
     assert DomainSpec.all_single_peaked(3).space_size(order) == 64

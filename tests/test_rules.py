@@ -1,13 +1,17 @@
 import itertools
+import random
 
 import pytest
 
-from reallot.core import Allocation, BudgetError, Instance, Preference, Profile
-from reallot.domains import DomainSpec
+from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
+from reallot.domains import DomainSpec, enumerate_all_preferences
 from reallot.efficiency import find_blocking_pair, find_improving_cycle
 from reallot.equivalence import Scope
 from reallot.rules import (
+    Manipulation,
     Rule,
+    StrategyProofnessReport,
+    _profiles_in_scope,
     check_corollary_sd,
     is_individually_rational,
     serial_dictatorship,
@@ -24,6 +28,90 @@ def all_profiles(n):
     rankings = list(itertools.permutations(range(n)))
     for combo in itertools.product(rankings, repeat=n):
         yield Profile(inst, tuple(Preference(r) for r in combo))
+
+
+def _ttc_by_rounds(profile):
+    """Round-based TTC: every round, each remaining agent points at the
+    owner of their best remaining house, and every pointer cycle trades at
+    once and leaves. The oracle for the path-following ``ttc``."""
+    n = profile.n
+    endow = profile.instance.endowment
+    owner = [-1] * n
+    for agent, house in enumerate(endow):
+        owner[house] = agent
+    ranks = [p.ranking for p in profile.prefs]
+    pointer = [0] * n
+    active = [True] * n
+    house_left = [True] * n
+    assigned = [-1] * n
+    remaining = n
+    while remaining:
+        target = [-1] * n
+        best = [-1] * n
+        for a in range(n):
+            if not active[a]:
+                continue
+            r = ranks[a]
+            i = pointer[a]
+            while not house_left[r[i]]:
+                i += 1
+            pointer[a] = i
+            best[a] = r[i]
+            target[a] = owner[r[i]]
+        color = [0] * n
+        cycles = []
+        for a in range(n):
+            if not active[a] or color[a]:
+                continue
+            path = []
+            x = a
+            while color[x] == 0:
+                color[x] = 1
+                path.append(x)
+                x = target[x]
+            if color[x] == 1:
+                cycles.append(path[path.index(x) :])
+            for y in path:
+                color[y] = 2
+        for cycle in cycles:
+            for agent in cycle:
+                assigned[agent] = best[agent]
+            for agent in cycle:
+                active[agent] = False
+                house_left[best[agent]] = False
+                remaining -= 1
+    return Allocation(tuple(assigned))
+
+
+def _instance(n, endowment):
+    return Instance(
+        agents=tuple(f"a{i + 1}" for i in range(n)),
+        houses=tuple(f"h{i + 1}" for i in range(n)),
+        endowment=tuple(endowment),
+        order=LinearOrder.identity(n),
+    )
+
+
+def test_ttc_matches_the_round_based_oracle_exhaustively_n3():
+    for endowment in itertools.permutations(range(3)):
+        inst = _instance(3, endowment)
+        for profile in all_profiles(3):
+            profile = Profile(inst, profile.prefs)
+            assert ttc(profile) == _ttc_by_rounds(profile)
+
+
+def test_ttc_matches_the_round_based_oracle_on_samples():
+    # Instances need at least three agents, so the sizes start at n=3.
+    rng = random.Random(2024)
+    for trial in range(2000):
+        n = 3 + trial % 5
+        endowment = list(range(n))
+        while endowment == sorted(endowment):
+            rng.shuffle(endowment)
+        inst = _instance(n, endowment)
+        prefs = tuple(Preference(tuple(rng.sample(range(n), n))) for _ in range(n))
+        profile = Profile(inst, prefs)
+        assert ttc(profile) == _ttc_by_rounds(profile)
 
 
 def test_ttc_resolves_the_gap_example(gap_example):
@@ -130,6 +218,93 @@ def test_strategy_proofness_guards():
         check_strategy_proofness(
             Rule("ttc", ttc), DomainSpec.unrestricted(3), 3, Scope.exhaustive(), budget=10
         )
+
+
+def _strategy_proofness_by_objects(rule, spec, n, scope):
+    """The misreport sweep over Profile objects: each lie is a
+    ``with_pref`` copy, and outcomes are cached by the preference tuple.
+    The oracle for the integer-coded harness."""
+    instance = Instance.default(n)
+    cache = {}
+
+    def outcome(profile):
+        if profile.prefs not in cache:
+            cache[profile.prefs] = rule(profile)
+        return cache[profile.prefs]
+
+    profiles = checked = 0
+    violations = []
+    for profile in _profiles_in_scope(spec, instance, scope):
+        profiles += 1
+        truthful = outcome(profile)
+        for agent in range(n):
+            true_pref = profile.prefs[agent]
+            for lie in spec.admissible(instance.order, agent):
+                if lie == true_pref:
+                    continue
+                checked += 1
+                lied = outcome(profile.with_pref(agent, lie))
+                if true_pref.prefers(lied.assign[agent], truthful.assign[agent]):
+                    violations.append(
+                        Manipulation(
+                            profile, agent, lie, truthful.assign[agent], lied.assign[agent]
+                        )
+                    )
+    return StrategyProofnessReport(rule.name, profiles, checked, tuple(violations))
+
+
+def _harness_rules(n):
+    return (
+        Rule("ttc", ttc),
+        serial_dictatorship(tuple(reversed(range(n)))),
+        worst_house_dictatorship(),
+        Rule("identity", lambda profile: Allocation(tuple(range(profile.n)))),
+    )
+
+
+def _harness_specs():
+    every = list(enumerate_all_preferences(3))
+    explicit = DomainSpec((tuple(every[:4]), "sd", (every[5], every[0], every[3])))
+    for text in ("sp", "sd", "all", "sp,sd,all"):
+        yield DomainSpec.parse(text, 3), 3, Scope.exhaustive()
+    yield explicit, 3, Scope.exhaustive()
+    for text in ("sp", "sd", "all", "sd,all,sp,sd"):
+        yield DomainSpec.parse(text, 4), 4, Scope.randomized(seed=41, trials=25)
+    for text in ("sp", "sd", "all", "all,sp,sd,sp,sd"):
+        yield DomainSpec.parse(text, 5), 5, Scope.randomized(seed=43, trials=12)
+
+
+def test_strategy_proofness_matches_the_object_loop():
+    manipulated = 0
+    for spec, n, scope in _harness_specs():
+        for rule in _harness_rules(n):
+            report = check_strategy_proofness(rule, spec, n, scope)
+            assert report == _strategy_proofness_by_objects(rule, spec, n, scope)
+            manipulated += len(report.violations)
+    assert manipulated > 0  # violation order is compared, not just emptiness
+
+
+def test_strategy_proofness_calls_the_rule_once_per_profile():
+    calls = []
+
+    def counted(profile):
+        calls.append(profile.prefs)
+        return ttc(profile)
+
+    spec = DomainSpec.all_single_dipped(3)
+    report = check_strategy_proofness(Rule("ttc", counted), spec, 3, Scope.exhaustive())
+    assert report.ok
+    assert len(calls) == len(set(calls)) == spec.space_size(LinearOrder.identity(3))
+
+
+def test_strategy_proofness_randomized_budget():
+    # 20 trials of 4 agents with 7 lies each need 560 cases.
+    spec = DomainSpec.all_single_peaked(4)
+    scope = Scope.randomized(seed=5, trials=20)
+    with pytest.raises(BudgetError, match="needs 560 cases, budget is 559"):
+        check_strategy_proofness(Rule("ttc", ttc), spec, 4, scope, budget=559)
+    report = check_strategy_proofness(Rule("ttc", ttc), spec, 4, scope, budget=560)
+    assert report.cases_checked == 560
 
 
 def test_corollary_holds_exhaustively_n3():
