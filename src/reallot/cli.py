@@ -16,7 +16,8 @@ import os
 import re
 import sys
 
-from .construct import build_sd_counterexample, build_sp_counterexample
+# Each command imports what it runs, so that a one-instance check does not
+# load the sweeps, the rules or the synthesizers.
 from .core import (
     Allocation,
     BudgetError,
@@ -26,17 +27,6 @@ from .core import (
     Preference,
     Profile,
 )
-from .domains import (
-    DomainSpec,
-    enumerate_all_preferences,
-    enumerate_single_dipped,
-    enumerate_single_peaked,
-    is_single_dipped,
-    is_single_peaked,
-)
-from .efficiency import count_efficient, find_blocking_pair, find_improving_cycle
-from .equivalence import Scope, verify_equivalence
-from .rules import is_individually_rational, ttc
 
 BLUE = "\x1b[34m"
 RED = "\x1b[31m"
@@ -242,6 +232,8 @@ def _read(path: str) -> str:
 
 
 def cmd_check(args) -> int:
+    from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
+
     profile = parse_instance(_read(args.instance))
     allocation = parse_allocation(_read(args.allocation), profile.instance)
     inst = profile.instance
@@ -277,6 +269,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .domains import DomainSpec
+    from .equivalence import verify_equivalence
+    from .scope import Scope
+
     spec = DomainSpec.parse(args.domain, args.n)
     if args.random is not None:
         scope = Scope.randomized(args.seed, args.random)
@@ -308,6 +304,10 @@ def _natural_key(name: str):
 
 
 def cmd_synth(args) -> int:
+    from .construct import build_sd_counterexample, build_sp_counterexample
+    from .domains import is_single_dipped, is_single_peaked
+    from .efficiency import find_blocking_pair, find_improving_cycle
+
     tokens = args.pref.split()
     if args.order is not None:
         universe = args.order.split()
@@ -372,6 +372,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ttc(args) -> int:
+    from .rules import ttc
+
     profile = parse_instance(_read(args.instance))
     allocation = ttc(profile)
     text = serialize_allocation(profile.instance, allocation)
@@ -385,6 +387,8 @@ def cmd_ttc(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .efficiency import count_efficient
+
     profile = parse_instance(_read(args.instance))
     pair_count, pareto_count = count_efficient(profile)
     header = ("pair_count", "pareto_count")
@@ -395,6 +399,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from .domains import (
+        enumerate_all_preferences,
+        enumerate_single_dipped,
+        enumerate_single_peaked,
+    )
+
     inst_names = tuple(f"h{i + 1}" for i in range(args.m))
     order = LinearOrder.identity(args.m)
     if args.sp:

@@ -33,6 +33,10 @@ class BudgetError(ReallotError):
 MIN_AGENTS = 3
 BRUTE_FORCE_MAX_AGENTS = 8
 
+# Domain-spec entries naming the two structured preference families.
+SINGLE_PEAKED = "sp"
+SINGLE_DIPPED = "sd"
+
 
 @dataclass(frozen=True)
 class LinearOrder:

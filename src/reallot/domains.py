@@ -16,10 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, LinearOrder, Preference, Profile
+from .core import SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile
 
-SINGLE_PEAKED = "sp"
-SINGLE_DIPPED = "sd"
 UNRESTRICTED = "all"
 
 NOT_SINGLE_PEAKED = "not-single-peaked"

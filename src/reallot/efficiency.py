@@ -21,50 +21,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (
-    BRUTE_FORCE_MAX_AGENTS,
-    Allocation,
-    BudgetError,
-    Profile,
-)
-from .domains import SINGLE_PEAKED
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, Profile
 
 RED = "red"
 BLUE = "blue"
-
-
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Boolean adjacency of the envy relation at one allocation."""
-
-    adjacency: tuple[tuple[bool, ...], ...]
-
-    @classmethod
-    def from_assignment(cls, profile: Profile, mu: Allocation) -> EnvyGraph:
-        ranks = [p.rank_of for p in profile.prefs]
-        n = profile.n
-        assign = mu.assign
-        rows = []
-        for a in range(n):
-            ra = ranks[a]
-            own = ra[assign[a]]
-            rows.append(tuple(b != a and ra[assign[b]] < own for b in range(n)))
-        return cls(tuple(rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.adjacency)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.adjacency[a][b]
-
-    def successors(self, a: int) -> tuple[int, ...]:
-        return tuple(b for b, e in enumerate(self.adjacency[a]) if e)
-
-    def two_cycles(self) -> list[tuple[int, int]]:
-        adj = self.adjacency
-        n = len(adj)
-        return [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a][b] and adj[b][a]]
 
 
 @dataclass(frozen=True)
@@ -225,6 +185,15 @@ def pareto_dominates(profile: Profile, nu: Allocation, mu: Allocation) -> bool:
         if rn < rm:
             strict = True
     return strict
+
+
+def is_individually_rational(profile: Profile, mu: Allocation) -> bool:
+    """True iff no agent ends up strictly below their endowment."""
+    endow = profile.instance.endowment
+    for a, pref in enumerate(profile.prefs):
+        if pref.rank_of[mu.assign[a]] > pref.rank_of[endow[a]]:
+            return False
+    return True
 
 
 def brute_force_dominator(profile: Profile, mu: Allocation) -> Allocation | None:

@@ -19,13 +19,18 @@ import functools
 import itertools
 import math
 import os
-import random
 from dataclasses import dataclass
 
-from .core import BRUTE_FORCE_MAX_AGENTS, Allocation, BudgetError, Instance, Profile
-from .domains import (
+from .core import (
+    BRUTE_FORCE_MAX_AGENTS,
     SINGLE_DIPPED,
     SINGLE_PEAKED,
+    Allocation,
+    BudgetError,
+    Instance,
+    Profile,
+)
+from .domains import (
     DomainSpec,
     is_single_dipped,
     is_single_peaked,
@@ -46,20 +51,14 @@ from .efficiency import (
     find_blocking_pair,
     pareto_dominates,
 )
+# The sweep scope, the budget and the seeds live in scope.py; they are
+# re-exported here, where the sweeps that use them are.
+from .scope import BUDGET_ENV_VAR, DEFAULT_BUDGET, Scope, _resolve_budget, _trial_seeds
 
 _RECOGNIZERS = {
     SINGLE_PEAKED: (is_single_peaked, "single-peaked"),
     SINGLE_DIPPED: (is_single_dipped, "single-dipped"),
 }
-
-DEFAULT_BUDGET = 100_000_000
-BUDGET_ENV_VAR = "REALLOT_BUDGET"
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -170,34 +169,6 @@ def extract_blocking_pair_sd(
     """The extreme label pair (b1, bm); both agents strictly prefer each
     other's mu-house. Only valid on all-SD profiles."""
     return _extract_pair(profile, mu, witness, SINGLE_DIPPED)
-
-
-@dataclass(frozen=True)
-class Scope:
-    """How much of a domain to sweep: everything, or sampled profiles."""
-
-    kind: str
-    seed: int | None = None
-    trials: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("exhaustive", "randomized"):
-            raise ValueError(f"unknown scope kind: {self.kind}")
-        if self.kind == "randomized" and (self.seed is None or not self.trials):
-            raise ValueError("randomized scope needs a seed and a trial count")
-
-    @classmethod
-    def exhaustive(cls) -> Scope:
-        return cls("exhaustive")
-
-    @classmethod
-    def randomized(cls, seed: int, trials: int) -> Scope:
-        return cls("randomized", seed=seed, trials=trials)
-
-    def describe(self) -> str:
-        if self.kind == "exhaustive":
-            return "exhaustive"
-        return f"randomized(seed={self.seed}, trials={self.trials})"
 
 
 @dataclass(frozen=True)
@@ -422,7 +393,7 @@ def verify_equivalence(
         first_lists = _phase_lists(spec, instance, phases[0])
         first_profile = Profile(instance, tuple(lst[0] for lst in first_lists))
     else:
-        trials = scope.trials or 0
+        trials = scope.trials
         checks = trials * fact
         if checks > budget:
             raise BudgetError(f"randomized sweep needs {checks} checks, budget is {budget}")
@@ -432,10 +403,9 @@ def verify_equivalence(
             (spec, n, master[i : i + chunk]) for i in range(0, trials, chunk)
         ]
         task_fn = _scan_random_task
-        first_profile = sample_profile(spec, instance, master[0]) if trials else None
+        first_profile = sample_profile(spec, instance, master[0])
 
-    if first_profile is not None:
-        _definitional_spot_check(first_profile)
+    _definitional_spot_check(first_profile)
 
     results = _run_tasks(task_fn, tasks, jobs)
     profiles = sum(r[0] for r in results)
@@ -450,11 +420,6 @@ def verify_equivalence(
                 merged.append(v)
     merged.sort(key=_violation_key)
     return EquivalenceReport(spec, scope, profiles, allocations, tuple(merged))
-
-
-def _trial_seeds(seed: int | None, trials: int) -> list[int]:
-    master = random.Random(seed)
-    return [master.getrandbits(64) for _ in range(trials)]
 
 
 def find_gap_witness(

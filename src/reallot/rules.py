@@ -16,8 +16,10 @@ from typing import Callable, Iterator, Sequence
 
 from .core import Allocation, BudgetError, Instance, Preference, Profile
 from .domains import DomainSpec, sample_profile
-from .efficiency import find_blocking_pair, find_improving_cycle
-from .equivalence import Scope, _resolve_budget, _trial_seeds
+# is_individually_rational sits with the other allocation checks and is
+# re-exported here.
+from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
+from .scope import Scope, _resolve_budget, _trial_seeds
 
 
 @dataclass(frozen=True)
@@ -116,15 +118,6 @@ def worst_house_dictatorship() -> Rule:
     return Rule("worst-house-dictatorship", run)
 
 
-def is_individually_rational(profile: Profile, mu: Allocation) -> bool:
-    """True iff no agent ends up strictly below their endowment."""
-    endow = profile.instance.endowment
-    for a, pref in enumerate(profile.prefs):
-        if pref.rank_of[mu.assign[a]] > pref.rank_of[endow[a]]:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Manipulation:
     """One profitable misreport found by the harness."""
@@ -156,7 +149,7 @@ def _profiles_in_scope(
         for prefs in itertools.product(*lists):
             yield Profile(instance, prefs)
     else:
-        for seed in _trial_seeds(scope.seed, scope.trials or 0):
+        for seed in _trial_seeds(scope.seed, scope.trials):
             yield sample_profile(spec, instance, seed)
 
 
@@ -181,7 +174,7 @@ def check_strategy_proofness(
     lists = [spec.admissible(instance.order, a) for a in range(n)]
     sizes = [len(prefs) for prefs in lists]
     per_profile = sum(s - 1 for s in sizes)
-    count = math.prod(sizes) if scope.kind == "exhaustive" else scope.trials or 0
+    count = math.prod(sizes) if scope.kind == "exhaustive" else scope.trials
     cases = count * per_profile
     if cases > budget:
         raise BudgetError(f"misreport sweep needs {cases} cases, budget is {budget}")
@@ -249,7 +242,7 @@ def check_corollary_sd(
     if scope.kind == "exhaustive":
         count = spec.space_size(instance.order)
     else:
-        count = scope.trials or 0
+        count = scope.trials
     if count > budget:
         raise BudgetError(f"corollary sweep needs {count} profiles, budget is {budget}")
     profiles = 0

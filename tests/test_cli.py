@@ -254,17 +254,89 @@ def test_internal_invariant_failure_exits_four(monkeypatch, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+SRC = str(Path(equivalence.__file__).resolve().parents[1])
+
+# Runs in a fresh interpreter: the reallot modules loaded, space-separated.
+LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'reallot'))"
+
+
+def _fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True
+    )
+
+
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    src = str(Path(equivalence.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, reallot.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)); "
+        + LOADED
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    done = _fresh(code)
+    assert done.stdout == "[]\nreallot reallot.cli reallot.core\n"
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import sys, reallot; " + LOADED).stdout == "reallot\n"
+
+
+def test_every_public_name_resolves():
+    import reallot
+
+    star: dict = {}
+    exec("from reallot import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(reallot.__all__)
+    listed = dir(reallot)
+    for name in reallot.__all__:
+        assert name in listed
+        assert star[name] is getattr(reallot, name)
+    assert "EnvyGraph" not in listed
+    with pytest.raises(AttributeError):
+        reallot.EnvyGraph
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["check", "instance.txt", "mu.txt"], "efficiency"),
+        (["check", "--ir", "instance.txt", "nu.txt"], "efficiency"),
+        (["count", "instance.txt"], "efficiency"),
+        (["enum", "--sd", "--m", "4"], "domains"),
+        (["ttc", "instance.txt"], "domains efficiency rules scope"),
+        (
+            ["verify", "--domain", "sp", "--n", "3", "--exhaustive"],
+            "domains efficiency equivalence scope",
+        ),
+        (
+            ["synth", "--mode", "sd", "--pref", "h2 h3 h1", "--out", "b"],
+            "construct domains efficiency",
+        ),
+    ],
+    ids=["check", "check-ir", "count", "enum", "ttc", "verify", "synth"],
+)
+def test_each_subcommand_loads_only_what_it_runs(example_files, tmp_path, argv, extra):
+    code = (
+        "import contextlib, io, sys, reallot.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    print(reallot.cli.main(sys.argv[1:]), file=sys.stderr)\n" + LOADED
     )
-    assert done.stdout == "[]\n"
+    done = _fresh(code, *argv, cwd=tmp_path)
+    assert done.stderr in ("0\n", "1\n")
+    expected = {"reallot", "reallot.cli", "reallot.core"} | {f"reallot.{m}" for m in extra.split()}
+    assert done.stdout.split() == sorted(expected)
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_nonpositive_trials(trials):
+    done = _fresh(
+        "import sys, reallot.cli; sys.exit(reallot.cli.main(sys.argv[1:]))",
+        "verify", "--domain", "sp", "--n", "3", "--random", trials,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 def test_synth_command_writes_expected_bundle(tmp_path, capsys):

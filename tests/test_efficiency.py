@@ -6,7 +6,6 @@ import pytest
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import DomainSpec, sample_profile
 from reallot.efficiency import (
-    EnvyGraph,
     ImprovingCycle,
     _better_table,
     _blocking_pair_raw,
@@ -22,7 +21,7 @@ from reallot.efficiency import (
     pareto_dominates,
 )
 
-from conftest import profile_from
+from conftest import EnvyGraph, profile_from
 
 
 def oracle_blocking(profile, mu):

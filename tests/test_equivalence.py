@@ -14,7 +14,6 @@ from reallot.domains import (
     sample_profile,
 )
 from reallot.efficiency import (
-    EnvyGraph,
     brute_force_dominator,
     find_blocking_pair,
     find_improving_cycle,
@@ -34,7 +33,7 @@ from reallot.equivalence import (
     verify_equivalence,
 )
 
-from conftest import profile_from
+from conftest import EnvyGraph, profile_from
 
 
 def test_witness_for_gap_example(gap_example):
@@ -331,6 +330,15 @@ def test_scope_validation():
         Scope.randomized(seed=None, trials=10)  # type: ignore[arg-type]
     assert Scope.exhaustive().describe() == "exhaustive"
     assert Scope.randomized(3, 7).describe() == "randomized(seed=3, trials=7)"
+
+
+def test_randomized_scope_needs_a_positive_trial_count():
+    with pytest.raises(ValueError, match="needs a seed and a trial count"):
+        Scope.randomized(seed=1, trials=0)
+    for trials in (-1, -5):
+        with pytest.raises(ValueError, match=f"trial count must be at least 1, got {trials}"):
+            Scope.randomized(seed=1, trials=trials)
+    assert Scope.randomized(seed=1, trials=1).trials == 1
 
 
 def test_find_gap_witness_mixed_and_clean(gap_example):
