@@ -5,8 +5,9 @@ ranking line per agent; allocation files carry one ``agent -> house`` line
 per agent. In canonical form the house indices follow the order line, so
 parse and serialize round-trip byte-identically.
 
-Exit codes: 0 all requested checks pass, 1 semantic failure, 2 input
-error, 3 budget or guard exceeded, 4 internal invariant failure.
+Exit codes: 0 all requested checks pass, 1 semantic failure or a reader
+that closed the output pipe early, 2 input error, 3 budget or guard
+exceeded, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 # Each command imports what it runs, so that a one-instance check does not
 # load the sweeps, the rules or the synthesizers.
 from .core import (
+    MIN_AGENTS,
     Allocation,
     BudgetError,
     Instance,
@@ -273,6 +275,8 @@ def cmd_verify(args) -> int:
     from .equivalence import verify_equivalence
     from .scope import Scope
 
+    if args.n < MIN_AGENTS:  # before the spec, whose errors would hide this one
+        raise ValueError(f"need at least {MIN_AGENTS} agents, got {args.n}")
     spec = DomainSpec.parse(args.domain, args.n)
     if args.random is not None:
         scope = Scope.randomized(args.seed, args.random)
@@ -479,7 +483,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``reallot enum --all --m 8 | head -1``).
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

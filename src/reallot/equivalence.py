@@ -200,12 +200,12 @@ def _gap_allocations(profile: Profile) -> list[tuple[int, ...]]:
     return [assign for assign, efficient in found if not efficient]
 
 
-def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
-    """Scan all allocations of one profile for the pair-efficient yet
-    dominated ones; the dominating partner comes from the brute-force
-    oracle, independent of the cycle checker that spotted the gap."""
+def _certified(profile: Profile, gaps) -> list[Violation]:
+    """One violation per gap allocation; the dominating partner comes from
+    the brute-force oracle, independent of the cycle checker that spotted
+    the gap, and pair-efficiency is re-checked per allocation."""
     found: list[Violation] = []
-    for assign in _gap_allocations(profile):
+    for assign in gaps:
         mu = Allocation(assign)
         nu = brute_force_dominator(profile, mu)
         if nu is None:
@@ -214,7 +214,13 @@ def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
         if find_blocking_pair(profile, mu) is not None:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))
-    return math.factorial(profile.n), found
+    return found
+
+
+def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
+    """Scan all allocations of one profile for the pair-efficient yet
+    dominated ones, each certified as in ``_certified``."""
+    return math.factorial(profile.n), _certified(profile, _gap_allocations(profile))
 
 
 def _definitional_spot_check(profile: Profile):
@@ -262,17 +268,28 @@ def _multinomial(combo: tuple[int, ...]) -> int:
     return count
 
 
-def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
-    """Scan one profile per orbit of agent relabellings.
+def _mirror_indices(lst, n: int) -> list[int] | None:
+    """``sigma[i]``: where lst[i] sits in ``lst`` with every house h read as
+    n-1-h (the mirror of ``Instance.default(n)``'s order), or None."""
+    where = {p.ranking: i for i, p in enumerate(lst)}
+    sigma = [where.get(tuple(n - 1 - h for h in p.ranking)) for p in lst]
+    return None if None in sigma else sigma
 
-    Agents whose admissible lists are equal form a group; an orbit picks a
-    multiset of list indices per group, and this task takes the orbits whose
-    first group's least index is ``first_idx``. Relabelling agents together
-    with their preferences moves no allocation in or out of pair- or
-    Pareto-efficiency, so an orbit whose representative has no gap is
-    counted by its size unscanned, and only an orbit with a gap has every
-    member scanned. ``phase`` is None for a Cartesian spec, else the
-    union half being swept.
+
+def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
+    """Scan one profile per orbit of agent relabellings, folded with the
+    house mirror h -> n-1-h when every admissible list is closed under it.
+
+    Agents with equal lists form a group; an orbit picks a multiset of list
+    indices per group, and this task takes the orbits whose first group's
+    least index is ``first_idx``. Neither symmetry moves an allocation in or
+    out of pair- or Pareto-efficiency. The kernel runs on each list's
+    ``better`` rows, built once, so a clean orbit is counted by its size
+    without a ``Profile``; under the fold only the lesser of an orbit and
+    its mirror image is scanned, counted twice unless the mirror fixes it.
+    A gapped orbit's members, mirror members included, take the
+    representative's gaps relabelled, each certified on its own ``Profile``.
+    ``phase`` is None for a Cartesian spec, else the union half swept.
     """
     spec, n, phase, first_idx = args
     instance = Instance.default(n)
@@ -280,6 +297,11 @@ def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
     groups: dict[tuple, list[int]] = {}
     for a, lst in enumerate(_phase_lists(spec, instance, phase)):
         groups.setdefault(lst, []).append(a)
+    rows = [_better_table([p.ranking for p in lst]) for lst in groups]
+    # The skipped all-monotone profiles are each other's mirror images.
+    skipped = [{i for i, p in enumerate(lst) if p in skip} for lst in groups]
+    sigmas = [_mirror_indices(lst, n) for lst in groups]
+    fold = None not in sigmas
     choices = []
     for lst, agents in groups.items():
         if choices:
@@ -291,29 +313,51 @@ def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
             combos = ((first_idx, *c) for c in rest)
         choices.append([(c, _multinomial(c)) for c in combos])
 
-    def profile_of(picks) -> Profile:
-        prefs = [None] * n
-        for (lst, agents), combo in zip(groups.items(), picks):
-            for a, i in zip(agents, combo):
-                prefs[a] = lst[i]
-        return Profile(instance, tuple(prefs))
+    def members(picks, gaps, flip: bool) -> list[Violation]:
+        # Member agent ag[j] holds what representative agent ag[p[j]] holds,
+        # read through the mirror when ``flip``; one p per distinct member.
+        per_group = []
+        for combo, sigma in zip(picks, sigmas):
+            held = [sigma[i] for i in combo] if flip else combo
+            ways: dict[tuple, tuple] = {}
+            for p in itertools.permutations(range(len(held))):
+                ways.setdefault(tuple(held[k] for k in p), p)
+            per_group.append(sorted(ways.items()))
+        house = [n - 1 - h if flip else h for h in range(n)]
+        found: list[Violation] = []
+        for member in itertools.product(*per_group):
+            prefs = [None] * n
+            source = [0] * n
+            for (held, p), (lst, ag) in zip(member, groups.items()):
+                for j, b in enumerate(ag):
+                    prefs[b] = lst[held[j]]
+                    source[b] = ag[p[j]]
+            moved = sorted(tuple(house[gap[s]] for s in source) for gap in gaps)
+            found += _certified(Profile(instance, tuple(prefs)), moved)
+        return found
 
     profiles = 0
     violations: list[Violation] = []
     for orbit in itertools.product(*choices):
         picks = tuple(c for c, _ in orbit)
-        representative = profile_of(picks)
-        if all(p in skip for p in representative.prefs):
+        if all(s.issuperset(c) for c, s in zip(picks, skipped)):
             continue
-        profiles += math.prod(w for _, w in orbit)
-        found = _scan_profile_for_gaps(representative)[1]
-        if not found:
-            continue
-        violations.extend(found)
-        orderings = [sorted(set(itertools.permutations(c))) for c in picks]
-        for member in itertools.product(*orderings):
-            if member != picks:
-                violations.extend(_scan_profile_for_gaps(profile_of(member))[1])
+        mirrored = picks
+        if fold:
+            mirrored = tuple(tuple(sorted(s[i] for i in c)) for c, s in zip(picks, sigmas))
+            if mirrored < picks:
+                continue
+        weight = math.prod(w for _, w in orbit)
+        profiles += weight if mirrored == picks else 2 * weight
+        table = [None] * n
+        for combo, ag, r in zip(picks, groups.values(), rows):
+            for a, i in zip(ag, combo):
+                table[a] = r[i]
+        gaps = [assign for assign, efficient in _pair_efficient(table) if not efficient]
+        if gaps:
+            violations += members(picks, gaps, False)
+            if mirrored != picks:
+                violations += members(picks, gaps, True)
     return profiles, profiles * math.factorial(n), violations
 
 
@@ -367,9 +411,11 @@ def verify_equivalence(
     The reverse implication is definitional and spot-checked once per run.
     Allocations that already fail pair-efficiency are pruned (the
     implication is vacuous there). An exhaustive sweep scans one profile
-    per orbit of agent relabellings and counts each orbit by its size.
-    Worker count never changes the report: partitions are merged in
-    canonical order and violations re-sorted. ``jobs`` must be at least 1.
+    per orbit of agent relabellings, folded with the house mirror
+    h -> n-1-h when every admissible list is closed under it, and counts
+    each orbit by its size; the budget still counts every profile. Worker
+    count never changes the report: partitions are merged in canonical
+    order and violations re-sorted. ``jobs`` must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

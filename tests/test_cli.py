@@ -245,6 +245,17 @@ def test_verify_rejects_nonpositive_jobs(capsys):
         assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
+def test_verify_checks_the_agent_count_before_the_spec(capsys):
+    for n in ("-1", "0", "2"):
+        for domain in ("sp", "union", "sp,sd"):
+            assert main(["verify", "--domain", domain, "--n", n, "--random", "3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: need at least 3 agents, got {n}\n"
+    assert main(["verify", "--domain", "sp", "--n", "9", "--random", "3"]) == 3
+    assert capsys.readouterr().err == "error: domain sweeps are guarded to n <= 8\n"
+
+
 def test_internal_invariant_failure_exits_four(monkeypatch, capsys):
     # An oracle that finds no dominator for a gap the cycle checker saw.
     monkeypatch.setattr(equivalence, "brute_force_dominator", lambda profile, mu: None)
@@ -337,6 +348,23 @@ def test_verify_rejects_nonpositive_trials(trials):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+def test_closed_output_pipe_exits_one_without_a_traceback():
+    # 40,320 lines overflow any pipe buffer, so the writer meets the closed end.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reallot.cli", "enum", "--all", "--m", "8"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"h1 h2 h3 h4 h5 h6 h7 h8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_synth_command_writes_expected_bundle(tmp_path, capsys):

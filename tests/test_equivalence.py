@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reallot import equivalence
-from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Profile
+from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import (
     DomainSpec,
     enumerate_all_preferences,
@@ -271,6 +273,66 @@ def test_orbit_sweep_matches_the_unreduced_sweep():
     assert verify_equivalence(union, 4, Scope.exhaustive(), jobs=1) == verify_equivalence(
         union, 4, Scope.exhaustive(), jobs=2
     )
+
+
+def _mirror(pref: Preference) -> Preference:
+    """The preference with every house h read as m-1-h."""
+    return Preference(tuple(pref.m - 1 - h for h in pref.ranking))
+
+
+def test_folded_sweeps_match_the_unreduced_sweep():
+    # Every list here is closed under the mirror, so each sweep folds. The
+    # explicit spec lists its closed set in two orders, so the two groups
+    # pair their entries with their mirror images by different indices.
+    every = list(enumerate_all_preferences(4))
+    closed = tuple(p for p in every if p.ranking[:2] in ((0, 2), (3, 1), (1, 3), (2, 0)))
+    explicit = DomainSpec((closed, "sd", closed, closed[::2] + closed[1::2]))
+    specs = [DomainSpec.parse(text, 4) for text in ("sd,sp,sp,sd", "sp,sd,all,sp")]
+    for spec in specs + [explicit]:
+        lists = [spec.admissible(Instance.default(4).order, a) for a in range(4)]
+        assert all(equivalence._mirror_indices(lst, 4) is not None for lst in lists)
+        report = verify_equivalence(spec, 4, Scope.exhaustive())
+        assert report.violations
+        assert report == _unreduced_exhaustive_sweep(spec, 4), spec.describe()
+    mixed = DomainSpec.parse("sp,sd,sp,sd", 4)
+    assert verify_equivalence(mixed, 4, Scope.exhaustive(), jobs=1) == verify_equivalence(
+        mixed, 4, Scope.exhaustive(), jobs=2
+    )
+
+
+@st.composite
+def explicit_specs(draw):
+    """Explicit-list specs at n = 3; half of them have every list closed
+    under the mirror by construction."""
+    every = list(enumerate_all_preferences(3))
+    closed = draw(st.booleans())
+    lists = []
+    for _ in range(3):
+        picked = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
+        if closed:
+            picked += [q for q in map(_mirror, picked) if q not in picked]
+        lists.append(tuple(picked))
+    return DomainSpec(tuple(lists)), closed
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_specs())
+def test_mirror_fold_on_explicit_lists(drawn):
+    spec, closed = drawn
+    if closed:
+        assert all(equivalence._mirror_indices(lst, 3) is not None for lst in spec.per_agent)
+    report = verify_equivalence(spec, 3, Scope.exhaustive())
+    assert report == _unreduced_exhaustive_sweep(spec, 3)
+    # The mirrored spec: the same counts, and the violations' mirror images.
+    mirrored = DomainSpec(tuple(tuple(map(_mirror, lst)) for lst in spec.per_agent))
+    image = verify_equivalence(mirrored, 3, Scope.exhaustive())
+    assert image.profiles_checked == report.profiles_checked
+    assert image.allocations_checked == report.allocations_checked
+    assert len(image.violations) == len(report.violations)
+    assert {(v.profile.prefs, v.mu.assign) for v in image.violations} == {
+        (tuple(map(_mirror, v.profile.prefs)), tuple(2 - h for h in v.mu.assign))
+        for v in report.violations
+    }
 
 
 def test_verify_equivalence_rejects_nonpositive_jobs():
