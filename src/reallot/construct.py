@@ -10,13 +10,13 @@ machine-checked before it is returned.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import Allocation, Instance, LinearOrder, Preference, Profile
 from .domains import (
-    enumerate_single_peaked,
     is_single_dipped,
     is_single_peaked,
     monotone_decreasing,
@@ -48,14 +48,37 @@ def complete_sp(
     peak_hint: int | None = None,
 ) -> Preference:
     """First single-peaked preference, in canonical enumeration order,
-    satisfying every (better, worse) constraint and the optional peak."""
-    constraints = tuple(constraints)
-    for pref in enumerate_single_peaked(order):
-        if peak_hint is not None and pref.peak != peak_hint:
-            continue
-        if all(pref.prefers(better, worse) for better, worse in constraints):
-            return pref
-    raise ValueError("no single-peaked preference satisfies the constraints")
+    satisfying every (better, worse) constraint and the optional peak.
+
+    Read best first, such a ranking grows an interval of the order from its
+    peak one end at a time; the least finish of each of the O(m^2)
+    intervals is memoised, so the 2^(m-1) members are never walked.
+    """
+    m, pos, by_rank = order.n, order.position, order.by_rank
+    above: dict[int, list[int]] = {h: [] for h in range(m)}  # positions that must join first
+    for better, worse in constraints:
+        if not {better, worse} <= above.keys():
+            raise ValueError(f"unknown house index in constraint {(better, worse)}")
+        above[worse].append(pos[better])
+    starts = range(m) if peak_hint is None else [pos[h] for h in above if h == peak_hint]
+
+    @functools.lru_cache(maxsize=None)
+    def finish(lo: int, hi: int) -> tuple[int, ...] | None:
+        # Least joining order of the houses outside positions lo..hi (lo > hi: none in yet).
+        if hi - lo == m - 1:
+            return ()
+        ends = (lo - 1, hi + 1) if lo <= hi else starts
+        for house, p in sorted((by_rank[p], p) for p in ends if 0 <= p < m):
+            if all(lo <= q <= hi for q in above[house]):
+                tail = finish(min(lo, p), max(hi, p))
+                if tail is not None:
+                    return (house, *tail)
+        return None
+
+    ranking = finish(m, -1)
+    if ranking is None:
+        raise ValueError("no single-peaked preference satisfies the constraints")
+    return Preference(ranking)
 
 
 def _resolve_roles_and_beta(

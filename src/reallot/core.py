@@ -190,6 +190,10 @@ class Instance:
     @classmethod
     def default(cls, n: int, order: LinearOrder | None = None) -> Instance:
         """Agents a1..an, houses h1..hn, identity endowment and order."""
+        if n < MIN_AGENTS:
+            # Checked here: range(n) of a negative n is empty, and the
+            # constructor would report zero agents.
+            raise ValueError(f"need at least {MIN_AGENTS} agents, got {n}")
         return cls(
             agents=tuple(f"a{i + 1}" for i in range(n)),
             houses=tuple(f"h{i + 1}" for i in range(n)),

@@ -1,10 +1,12 @@
 """Single-peaked and single-dipped preference families.
 
-Recognition is a direct scan of the defining pairwise condition; failures
-come with a three-house witness in the exact shape the counterexample
-builders consume. Enumeration is constructive (worst-to-best end picks
-over the order's interval), which gives the 2^(m-1) family members
-without touching the m! permutation space.
+Recognition is one scan for a violating triple of houses, run for
+single-dippedness on the ranking read worst-to-best; a failure comes with
+that triple as a witness in the exact shape the counterexample builders
+consume. Enumeration is constructive (worst-to-best end picks over the
+order's interval), which gives the 2^(m-1) family members without
+touching the m! permutation space. A :class:`DomainSpec` is a tuple of
+Cartesian blocks, and ``_profiles`` generates its profiles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile
 
@@ -58,63 +60,32 @@ class ViolationWitness:
         )
         if not chain:
             return False
-        if self.kind == NOT_SINGLE_PEAKED:
-            return (
-                pref.peak == self.pivot
-                and pref.prefers(self.pivot, self.far)
-                and pref.prefers(self.far, self.middle)
-            )
-        return (
-            pref.dip == self.pivot
-            and pref.prefers(self.middle, self.far)
-            and pref.prefers(self.far, self.pivot)
-        )
+        # Read worst-to-best, the dip is the peak and the SD chain the SP one.
+        rank = pref.rank_of if self.kind == NOT_SINGLE_PEAKED else _worst_first(pref.rank_of)
+        peak = rank.index(0)
+        return peak == self.pivot and rank[self.pivot] < rank[self.far] < rank[self.middle]
 
 
-def is_single_peaked(pref: Preference, order: LinearOrder) -> bool:
-    """True iff preference falls off monotonically on both sides of its
-    peak along the order."""
+def _worst_first(rank: tuple[int, ...]) -> tuple[int, ...]:
+    """``rank_of`` of the same ranking read worst-to-best. A preference is
+    single-dipped exactly when this reading of it is single-peaked, so the
+    SD checks run the SP scans on it; building the reversed ``Preference``
+    would cost more than the whole scan."""
+    top = len(rank) - 1
+    return tuple(top - r for r in rank)
+
+
+def _peak_violation(
+    rank: tuple[int, ...], order: LinearOrder, kind: str
+) -> ViolationWitness | None:
+    """The lexicographically least (middle, far) pair such that middle sits
+    strictly between the peak and far yet ranks below far, as a ``kind``
+    witness; None exactly when the ranking read through ``rank`` is
+    single-peaked, so this one scan is the recogniser too."""
     pos = order.position
-    rank = pref.rank_of
-    p = pos[pref.peak]
-    m = pref.m
-    for h in range(m):
-        ph = pos[h]
-        for g in range(m):
-            if h == g:
-                continue
-            pg = pos[g]
-            if (p <= ph < pg or pg < ph <= p) and rank[h] > rank[g]:
-                return False
-    return True
-
-
-def is_single_dipped(pref: Preference, order: LinearOrder) -> bool:
-    """True iff preference climbs monotonically on both sides of its dip
-    along the order."""
-    pos = order.position
-    rank = pref.rank_of
-    d = pos[pref.dip]
-    m = pref.m
-    for h in range(m):
-        ph = pos[h]
-        for g in range(m):
-            if h == g:
-                continue
-            pg = pos[g]
-            if (d <= ph < pg or pg < ph <= d) and rank[g] > rank[h]:
-                return False
-    return True
-
-
-def single_peaked_violation(pref: Preference, order: LinearOrder) -> ViolationWitness | None:
-    """The lexicographically least (middle, far) witness, or None if the
-    preference is single-peaked."""
-    pos = order.position
-    rank = pref.rank_of
-    peak = pref.peak
+    peak = rank.index(0)
     p = pos[peak]
-    m = pref.m
+    m = len(rank)
     for middle in range(m):
         if middle == peak:
             continue
@@ -130,35 +101,32 @@ def single_peaked_violation(pref: Preference, order: LinearOrder) -> ViolationWi
             else:
                 continue
             if rank[far] < rank[middle]:
-                return ViolationWitness(NOT_SINGLE_PEAKED, peak, middle, far, side)
+                return ViolationWitness(kind, peak, middle, far, side)
     return None
+
+
+def is_single_peaked(pref: Preference, order: LinearOrder) -> bool:
+    """True iff preference falls off monotonically on both sides of its
+    peak along the order."""
+    return _peak_violation(pref.rank_of, order, NOT_SINGLE_PEAKED) is None
+
+
+def is_single_dipped(pref: Preference, order: LinearOrder) -> bool:
+    """True iff preference climbs monotonically on both sides of its dip
+    along the order."""
+    return _peak_violation(_worst_first(pref.rank_of), order, NOT_SINGLE_DIPPED) is None
+
+
+def single_peaked_violation(pref: Preference, order: LinearOrder) -> ViolationWitness | None:
+    """The lexicographically least (middle, far) witness, or None if the
+    preference is single-peaked."""
+    return _peak_violation(pref.rank_of, order, NOT_SINGLE_PEAKED)
 
 
 def single_dipped_violation(pref: Preference, order: LinearOrder) -> ViolationWitness | None:
     """The lexicographically least (middle, far) witness, or None if the
     preference is single-dipped."""
-    pos = order.position
-    rank = pref.rank_of
-    dip = pref.dip
-    d = pos[dip]
-    m = pref.m
-    for middle in range(m):
-        if middle == dip:
-            continue
-        pm = pos[middle]
-        for far in range(m):
-            if far == middle or far == dip:
-                continue
-            pf = pos[far]
-            if d < pm < pf:
-                side = "right"
-            elif pf < pm < d:
-                side = "left"
-            else:
-                continue
-            if rank[middle] < rank[far]:
-                return ViolationWitness(NOT_SINGLE_DIPPED, dip, middle, far, side)
-    return None
+    return _peak_violation(_worst_first(pref.rank_of), order, NOT_SINGLE_DIPPED)
 
 
 def _sp_from_mask(order: LinearOrder, mask: int) -> Preference:
@@ -228,33 +196,78 @@ def monotone_decreasing(order: LinearOrder) -> Preference:
     return Preference(tuple(reversed(order.by_rank)))
 
 
-@dataclass(frozen=True)
+def _draw_sp(order: LinearOrder, rng: random.Random) -> Preference:
+    return _sp_from_mask(order, rng.getrandbits(order.n - 1) if order.n > 1 else 0)
+
+
+class _Entry(NamedTuple):
+    """What a per-agent entry answers, each as a function of the order.
+    Only ``prefs`` lists the set, so sizes, membership and draws never
+    build the m! rankings of ``all``."""
+
+    prefs: Callable[[LinearOrder], tuple[Preference, ...]]  # canonical order
+    size: Callable[[LinearOrder], int]
+    holds: Callable[[Preference, LinearOrder], bool]
+    draw: Callable[[LinearOrder, random.Random], Preference]  # uniform
+
+
+def _family_size(order: LinearOrder) -> int:
+    return 1 << max(order.n - 1, 0)
+
+
+_KINDS = {
+    SINGLE_PEAKED: _Entry(_sp_family, _family_size, is_single_peaked, _draw_sp),
+    SINGLE_DIPPED: _Entry(
+        _sd_family,
+        _family_size,
+        is_single_dipped,
+        lambda order, rng: _draw_sp(order, rng).reversed(),
+    ),
+    UNRESTRICTED: _Entry(
+        lambda order: tuple(enumerate_all_preferences(order.n)),
+        lambda order: math.factorial(order.n),
+        lambda pref, order: True,
+        lambda order, rng: Preference(tuple(rng.sample(range(order.n), order.n))),
+    ),
+}
+
+
+def _entry(entry) -> _Entry:
+    """The one resolver of a per-agent entry: a kind's row of ``_KINDS``,
+    or the same four answers over an explicit list."""
+    if isinstance(entry, str):
+        return _KINDS[entry]
+    return _Entry(
+        lambda order: entry,
+        lambda order: len(entry),
+        lambda pref, order: pref in entry,
+        lambda order, rng: entry[rng.randrange(len(entry))],
+    )
+
+
+@dataclass(frozen=True, init=False)
 class DomainSpec:
     """Which preferences each agent may hold.
 
-    Cartesian specs assign every agent one of ``"sp"``, ``"sd"``, ``"all"``
-    or an explicit tuple of preferences, and denote the product of those
-    sets. ``union_mode`` instead denotes profiles that are all-SP or
-    all-SD; it is the only non-Cartesian shape supported.
+    A spec is a tuple of Cartesian blocks and denotes their union. A block
+    assigns every agent one of ``"sp"``, ``"sd"``, ``"all"`` or an explicit
+    tuple of preferences and denotes the product of those sets.
+    ``DomainSpec(per_agent)`` is one block; ``DomainSpec.union(n)``, the
+    profiles that are all-SP or all-SD, is the all-SP block followed by the
+    all-SD block, and the only spec with more than one. Sweeps and counts
+    take the blocks in turn, a later block skipping what an earlier one
+    swept (``_swept_before``).
     """
 
-    per_agent: tuple | None
-    union_mode: bool = False
-    size: int | None = None  # number of agents; only stored for union mode
+    blocks: tuple[tuple, ...]
 
-    def __post_init__(self):
-        if self.union_mode:
-            if self.per_agent is not None:
-                raise ValueError("union mode does not take per-agent sets")
-            if self.size is None or self.size < 1:
-                raise ValueError("union mode needs an explicit agent count")
-            return
-        if not self.per_agent:
+    def __init__(self, per_agent):
+        if not per_agent:
             raise ValueError("a Cartesian spec needs per-agent sets")
         entries = []
-        for entry in self.per_agent:
+        for entry in per_agent:
             if isinstance(entry, str):
-                if entry not in (SINGLE_PEAKED, SINGLE_DIPPED, UNRESTRICTED):
+                if entry not in _KINDS:
                     raise ValueError(f"unknown domain kind: {entry}")
                 entries.append(entry)
             elif isinstance(entry, Preference):
@@ -269,8 +282,7 @@ class DomainSpec:
                 if len(set(explicit)) != len(explicit):
                     raise ValueError("explicit preference list repeats a preference")
                 entries.append(explicit)
-        object.__setattr__(self, "per_agent", tuple(entries))
-        object.__setattr__(self, "size", len(entries))
+        object.__setattr__(self, "blocks", (tuple(entries),))
 
     @classmethod
     def all_single_peaked(cls, n: int) -> DomainSpec:
@@ -286,7 +298,9 @@ class DomainSpec:
 
     @classmethod
     def union(cls, n: int) -> DomainSpec:
-        return cls(None, union_mode=True, size=n)
+        spec = cls.all_single_peaked(n)
+        object.__setattr__(spec, "blocks", spec.blocks + cls.all_single_dipped(n).blocks)
+        return spec
 
     @classmethod
     def parse(cls, text: str, n: int) -> DomainSpec:
@@ -300,16 +314,21 @@ class DomainSpec:
             if len(kinds) != n:
                 raise ValueError(f"spec lists {len(kinds)} agents, expected {n}")
             return cls(kinds)
-        if text in (SINGLE_PEAKED, SINGLE_DIPPED, UNRESTRICTED):
+        if text in _KINDS:
             return cls((text,) * n)
         raise ValueError(f"unknown domain spec: {text}")
 
     @property
+    def per_agent(self) -> tuple | None:
+        """Each agent's entry, or None for the union, whose blocks differ."""
+        return self.blocks[0] if len(self.blocks) == 1 else None
+
+    @property
     def n(self) -> int:
-        return self.size  # type: ignore[return-value]
+        return len(self.blocks[0])
 
     def describe(self) -> str:
-        if self.union_mode:
+        if self.per_agent is None:
             return "union"
         kinds = set(self.per_agent)
         if len(kinds) == 1 and isinstance(self.per_agent[0], str):
@@ -320,86 +339,65 @@ class DomainSpec:
 
     def admissible(self, order: LinearOrder, agent: int) -> tuple[Preference, ...]:
         """The agent's preference set, in canonical order."""
-        if self.union_mode:
-            raise ValueError("union mode has no per-agent sets")
-        entry = self.per_agent[agent]
-        if entry == SINGLE_PEAKED:
-            return _sp_family(order)
-        if entry == SINGLE_DIPPED:
-            return _sd_family(order)
-        if entry == UNRESTRICTED:
-            return tuple(enumerate_all_preferences(order.n))
-        return entry
+        if self.per_agent is None:
+            raise ValueError("the union has no per-agent sets")
+        return _entry(self.per_agent[agent]).prefs(order)
 
     def space_size(self, order: LinearOrder) -> int:
         """Number of profiles the spec denotes."""
-        m = order.n
-        if self.union_mode:
-            half = (1 << max(m - 1, 0)) ** self.n
-            overlap = 2**self.n if m >= 3 else half
-            return 2 * half - overlap
-        total = 1
-        for agent in range(self.n):
-            entry = self.per_agent[agent]
-            if entry in (SINGLE_PEAKED, SINGLE_DIPPED):
-                total *= 1 << max(m - 1, 0)
-            elif entry == UNRESTRICTED:
-                total *= math.factorial(m)
-            else:
-                total *= len(entry)
+        total = 0
+        for k, block in enumerate(self.blocks):
+            skip = _swept_before(order, k)
+            total += math.prod(_entry(e).size(order) for e in block)
+            total -= math.prod(sum(_entry(e).holds(p, order) for p in skip) for e in block)
         return total
 
     def contains(self, profile: Profile) -> bool:
         order = profile.order
-        if self.union_mode:
-            return all(is_single_peaked(p, order) for p in profile.prefs) or all(
-                is_single_dipped(p, order) for p in profile.prefs
-            )
-        if self.n != profile.n:
-            return False
-        for agent in range(self.n):
-            entry = self.per_agent[agent]
-            p = profile.prefs[agent]
-            if entry == SINGLE_PEAKED:
-                if not is_single_peaked(p, order):
-                    return False
-            elif entry == SINGLE_DIPPED:
-                if not is_single_dipped(p, order):
-                    return False
-            elif entry != UNRESTRICTED and p not in entry:
-                return False
-        return True
+        return any(
+            len(block) == profile.n
+            and all(_entry(e).holds(p, order) for e, p in zip(block, profile.prefs))
+            for block in self.blocks
+        )
 
 
-def _sample_pref(entry, order: LinearOrder, rng: random.Random) -> Preference:
-    m = order.n
-    if entry == SINGLE_PEAKED:
-        mask = rng.getrandbits(m - 1) if m > 1 else 0
-        return _sp_from_mask(order, mask)
-    if entry == SINGLE_DIPPED:
-        mask = rng.getrandbits(m - 1) if m > 1 else 0
-        return _sp_from_mask(order, mask).reversed()
-    if entry == UNRESTRICTED:
-        return Preference(tuple(rng.sample(range(m), m)))
-    return entry[rng.randrange(len(entry))]
+def _swept_before(order: LinearOrder, k: int) -> frozenset:
+    """The one overlap rule: a profile of block ``k`` made of these
+    preferences alone was swept by an earlier block, so it is not counted,
+    scanned or yielded again. Only the union has a second block, and its SP
+    and SD blocks share exactly the two monotone rankings."""
+    if k == 0:
+        return frozenset()
+    return frozenset((monotone_increasing(order), monotone_decreasing(order)))
 
 
 def sample_profile(spec: DomainSpec, instance: Instance, seed: int) -> Profile:
     """One profile drawn uniformly per agent from the admissible sets.
 
-    Deterministic for a fixed seed. In union mode a single coin picks the
-    all-SP or all-SD half first, then every agent samples within it.
+    Deterministic for a fixed seed. For the union a single coin picks the
+    all-SP or all-SD block first, then every agent samples within it.
     """
     rng = random.Random(seed)
+    block = spec.blocks[rng.getrandbits(1)] if len(spec.blocks) > 1 else spec.blocks[0]
+    if len(block) != instance.n:
+        raise ValueError("spec and instance disagree on the agent count")
     order = instance.order
-    n = instance.n
-    if spec.union_mode:
-        kind = SINGLE_PEAKED if rng.getrandbits(1) == 0 else SINGLE_DIPPED
-        prefs = tuple(_sample_pref(kind, order, rng) for _ in range(n))
-    else:
-        if spec.n != n:
-            raise ValueError("spec and instance disagree on the agent count")
-        prefs = tuple(
-            _sample_pref(spec.per_agent[a], order, rng) for a in range(n)
-        )
-    return Profile(instance, prefs)
+    return Profile(instance, tuple(_entry(e).draw(order, rng) for e in block))
+
+
+def _profiles(
+    spec: DomainSpec, instance: Instance, seeds: Iterable[int] | None = None
+) -> Iterator[Profile]:
+    """The one profile generator: every profile of the spec, block by block
+    in ``itertools.product`` order, each skipping what ``_swept_before``
+    names; or, given seeds, the ``sample_profile`` of each seed in turn."""
+    if seeds is not None:
+        for seed in seeds:
+            yield sample_profile(spec, instance, seed)
+        return
+    order = instance.order
+    for k, block in enumerate(spec.blocks):
+        skip = _swept_before(order, k)
+        for prefs in itertools.product(*(_entry(e).prefs(order) for e in block)):
+            if not all(p in skip for p in prefs):
+                yield Profile(instance, prefs)

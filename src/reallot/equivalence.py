@@ -15,7 +15,6 @@ validated witness built from the brute-force oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -32,11 +31,9 @@ from .core import (
 )
 from .domains import (
     DomainSpec,
-    is_single_dipped,
-    is_single_peaked,
-    monotone_decreasing,
-    monotone_increasing,
-    sample_profile,
+    _entry,
+    _profiles,
+    _swept_before,
 )
 from .efficiency import (
     BLUE,
@@ -54,12 +51,6 @@ from .efficiency import (
 # The sweep scope, the budget and the seeds live in scope.py; they are
 # re-exported here, where the sweeps that use them are.
 from .scope import BUDGET_ENV_VAR, DEFAULT_BUDGET, Scope, _resolve_budget, _trial_seeds
-
-_RECOGNIZERS = {
-    SINGLE_PEAKED: (is_single_peaked, "single-peaked"),
-    SINGLE_DIPPED: (is_single_dipped, "single-dipped"),
-}
-
 
 @dataclass(frozen=True)
 class ImprovementWitness:
@@ -131,19 +122,19 @@ def _require_witness(profile: Profile, mu: Allocation, witness: ImprovementWitne
         raise ValueError("witness does not match this profile and allocation")
 
 
-@functools.lru_cache(maxsize=8192)
-def _family_ok(profile: Profile, kind: str) -> bool:
-    check = _RECOGNIZERS[kind][0]
-    return all(check(p, profile.order) for p in profile.prefs)
+def _check_family(profile: Profile, kind: str):
+    """Raise ValueError naming the first agent whose preference is outside
+    the ``kind`` family under the profile's order."""
+    check = _entry(kind).holds
+    for a, pref in enumerate(profile.prefs):
+        if not check(pref, profile.order):
+            raise ValueError(f"agent {a} is outside the {kind} family")
 
 
 def _extract_pair(
     profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str
 ) -> tuple[int, int]:
-    if not _family_ok(profile, kind):
-        check, family = _RECOGNIZERS[kind]
-        bad = next(a for a, p in enumerate(profile.prefs) if not check(p, profile.order))
-        raise ValueError(f"agent {bad} is not {family} under this order")
+    _check_family(profile, kind)
     _require_witness(profile, mu, witness)
     i, j = _pair_slots(kind, witness.colors)
     low, high = witness.labels[i], witness.labels[j]
@@ -239,27 +230,6 @@ def _definitional_spot_check(profile: Profile):
         return
 
 
-def _phases(spec: DomainSpec) -> tuple[str | None, ...]:
-    """The halves an exhaustive sweep takes in turn: all-SP then all-SD for
-    a union spec, the one phase None for a Cartesian spec."""
-    return (SINGLE_PEAKED, SINGLE_DIPPED) if spec.union_mode else (None,)
-
-
-def _phase_lists(spec: DomainSpec, instance: Instance, phase: str | None):
-    """Per-agent admissible lists of a phase, in canonical order."""
-    if phase is not None:
-        spec = DomainSpec((phase,) * instance.n)
-    return [spec.admissible(instance.order, a) for a in range(instance.n)]
-
-
-def _swept_before(instance: Instance, phase: str | None) -> set:
-    """Preferences whose all-alike profiles an earlier phase covered: the
-    two monotone rankings, SP and SD both, are swept in the SP half."""
-    if phase != SINGLE_DIPPED:
-        return set()
-    return {monotone_increasing(instance.order), monotone_decreasing(instance.order)}
-
-
 def _multinomial(combo: tuple[int, ...]) -> int:
     """How many distinct orderings a sorted index multiset has."""
     count = math.factorial(len(combo))
@@ -289,13 +259,15 @@ def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
     its mirror image is scanned, counted twice unless the mirror fixes it.
     A gapped orbit's members, mirror members included, take the
     representative's gaps relabelled, each certified on its own ``Profile``.
-    ``phase`` is None for a Cartesian spec, else the union half swept.
+    The task sweeps block ``k`` of the spec, skipping what an earlier block
+    swept.
     """
-    spec, n, phase, first_idx = args
+    spec, n, k, first_idx = args
     instance = Instance.default(n)
-    skip = _swept_before(instance, phase)
+    skip = _swept_before(instance.order, k)
     groups: dict[tuple, list[int]] = {}
-    for a, lst in enumerate(_phase_lists(spec, instance, phase)):
+    for a, entry in enumerate(spec.blocks[k]):
+        lst = _entry(entry).prefs(instance.order)
         groups.setdefault(lst, []).append(a)
     rows = [_better_table([p.ranking for p in lst]) for lst in groups]
     # The skipped all-monotone profiles are each other's mirror images.
@@ -362,18 +334,13 @@ def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
 
 
 def _scan_random_task(args) -> tuple[int, int, list[Violation]]:
+    """Scan the sampled profile of each seed; every profile counts n!
+    allocations."""
     spec, n, seeds = args
-    instance = Instance.default(n)
-    profiles = 0
-    allocations = 0
     violations: list[Violation] = []
-    for seed in seeds:
-        profile = sample_profile(spec, instance, seed)
-        profiles += 1
-        scanned, found = _scan_profile_for_gaps(profile)
-        allocations += scanned
-        violations.extend(found)
-    return profiles, allocations, violations
+    for profile in _profiles(spec, Instance.default(n), seeds):
+        violations += _scan_profile_for_gaps(profile)[1]
+    return len(seeds), len(seeds) * math.factorial(n), violations
 
 
 # The pool class is imported when a sweep first runs in parallel, so that
@@ -429,15 +396,13 @@ def verify_equivalence(
         checks = spec.space_size(instance.order) * fact
         if checks > budget:
             raise BudgetError(f"exhaustive sweep needs {checks} checks, budget is {budget}")
-        phases = _phases(spec)
         tasks = [
-            (spec, n, phase, i)
-            for phase in phases
-            for i in range(len(_phase_lists(spec, instance, phase)[0]))
+            (spec, n, k, i)
+            for k, block in enumerate(spec.blocks)
+            for i in range(_entry(block[0]).size(instance.order))
         ]
         task_fn = _scan_orbit_task
-        first_lists = _phase_lists(spec, instance, phases[0])
-        first_profile = Profile(instance, tuple(lst[0] for lst in first_lists))
+        first_profile = next(_profiles(spec, instance))
     else:
         trials = scope.trials
         checks = trials * fact
@@ -449,7 +414,7 @@ def verify_equivalence(
             (spec, n, master[i : i + chunk]) for i in range(0, trials, chunk)
         ]
         task_fn = _scan_random_task
-        first_profile = sample_profile(spec, instance, master[0])
+        first_profile = next(_profiles(spec, instance, master[:1]))
 
     _definitional_spot_check(first_profile)
 
@@ -478,33 +443,15 @@ def find_gap_witness(
 ) -> tuple[Profile, Allocation, Allocation] | None:
     """First (profile, mu, nu) with mu pair-efficient but dominated by nu,
     or None. Sweeps exhaustively when the space fits the budget, else
-    samples ``trials`` profiles from the given seed."""
+    samples ``trials`` profiles from the given seed. The gap is certified
+    as a sweep's violations are, its ``nu`` from the brute-force oracle."""
     instance = Instance.default(n)
-    budget = _resolve_budget(budget)
-    fact = math.factorial(n)
-
-    def profiles():
-        if spec.space_size(instance.order) * fact <= budget:
-            for phase in _phases(spec):
-                skip = _swept_before(instance, phase)
-                for prefs in itertools.product(*_phase_lists(spec, instance, phase)):
-                    if not all(p in skip for p in prefs):
-                        yield Profile(instance, prefs)
-        else:
-            for s in _trial_seeds(seed, trials):
-                yield sample_profile(spec, instance, s)
-
-    for profile in profiles():
+    fits = spec.space_size(instance.order) * math.factorial(n) <= _resolve_budget(budget)
+    for profile in _profiles(spec, instance, None if fits else _trial_seeds(seed, trials)):
         gaps = _gap_allocations(profile)
-        if not gaps:
-            continue
-        mu = Allocation(gaps[0])
-        nu = brute_force_dominator(profile, mu)
-        if nu is None:
-            raise RuntimeError("cycle checker and brute-force oracle disagree")
-        if find_blocking_pair(profile, mu) is not None or not pareto_dominates(profile, nu, mu):
-            raise RuntimeError("gap candidate failed re-validation")
-        return profile, mu, nu
+        if gaps:
+            (found,) = _certified(profile, gaps[:1])
+            return profile, found.mu, found.witness.nu
     return None
 
 
@@ -519,10 +466,7 @@ def validate_extraction_claims(profile: Profile, kind: str) -> tuple[int, int]:
     """
     if kind not in (SINGLE_PEAKED, SINGLE_DIPPED):
         raise ValueError("kind must be 'sp' or 'sd'")
-    check = _RECOGNIZERS[kind][0]
-    for a, pref in enumerate(profile.prefs):
-        if not check(pref, profile.order):
-            raise ValueError(f"agent {a} is outside the {kind} family")
+    _check_family(profile, kind)
     by_position = profile.order.by_rank
     ranks = [[p.rank_of[h] for h in by_position] for p in profile.prefs]
     return _extraction_pass(ranks, kind)

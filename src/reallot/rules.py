@@ -9,13 +9,12 @@ TTC on all-single-dipped profiles.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .core import Allocation, BudgetError, Instance, Preference, Profile
-from .domains import DomainSpec, sample_profile
+from .domains import DomainSpec, _profiles
 # is_individually_rational sits with the other allocation checks and is
 # re-exported here.
 from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
@@ -141,18 +140,6 @@ class StrategyProofnessReport:
         return not self.violations
 
 
-def _profiles_in_scope(
-    spec: DomainSpec, instance: Instance, scope: Scope
-) -> Iterator[Profile]:
-    if scope.kind == "exhaustive":
-        lists = [spec.admissible(instance.order, a) for a in range(instance.n)]
-        for prefs in itertools.product(*lists):
-            yield Profile(instance, prefs)
-    else:
-        for seed in _trial_seeds(scope.seed, scope.trials):
-            yield sample_profile(spec, instance, seed)
-
-
 def check_strategy_proofness(
     rule: Rule,
     spec: DomainSpec,
@@ -165,10 +152,9 @@ def check_strategy_proofness(
 
     Misreports range over the lying agent's own admissible set, so the
     scan stays inside the declared domain. Empty violations means no
-    manipulation was found in scope.
+    manipulation was found in scope. The union has no per-agent sets, so
+    it raises ValueError.
     """
-    if spec.union_mode:
-        raise ValueError("misreport scans need per-agent preference sets")
     instance = Instance.default(n)
     budget = _resolve_budget(budget)
     lists = [spec.admissible(instance.order, a) for a in range(n)]
@@ -185,9 +171,8 @@ def check_strategy_proofness(
     codes = range(count)
     if scope.kind != "exhaustive":
         index = [{p: j for j, p in enumerate(prefs)} for prefs in lists]
-        seeds = _trial_seeds(scope.seed, count)
-        samples = (sample_profile(spec, instance, seed).prefs for seed in seeds)
-        codes = (sum(index[a][p] * strides[a] for a, p in enumerate(prefs)) for prefs in samples)
+        samples = _profiles(spec, instance, _trial_seeds(scope.seed, count))
+        codes = (sum(index[a][p] * strides[a] for a, p in enumerate(s.prefs)) for s in samples)
 
     def profile_of(code: int) -> Profile:
         return Profile(instance, tuple(lists[a][code // strides[a] % sizes[a]] for a in range(n)))
@@ -247,7 +232,8 @@ def check_corollary_sd(
         raise BudgetError(f"corollary sweep needs {count} profiles, budget is {budget}")
     profiles = 0
     failures: list[tuple[Profile, Allocation, str]] = []
-    for profile in _profiles_in_scope(spec, instance, scope):
+    seeds = None if scope.kind == "exhaustive" else _trial_seeds(scope.seed, scope.trials)
+    for profile in _profiles(spec, instance, seeds):
         profiles += 1
         mu = ttc(profile)
         if find_blocking_pair(profile, mu) is not None:

@@ -1,11 +1,12 @@
-"""Shared fixtures: the 3-agent mixed-domain gap instance, builders, and
-the envy-graph oracle."""
+"""Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
+envy-graph oracle and the direct single-dipped oracles."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from reallot.core import Allocation, Instance, LinearOrder, Preference, Profile
+from reallot.domains import NOT_SINGLE_DIPPED, ViolationWitness
 
 
 def pref(text: str) -> Preference:
@@ -49,6 +50,54 @@ class EnvyGraph:
         adj = self.adjacency
         n = len(adj)
         return [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a][b] and adj[b][a]]
+
+
+def single_dipped_by_scan(pref: Preference, order: LinearOrder) -> bool:
+    """True iff preference climbs monotonically on both sides of its dip
+    along the order: the defining pairwise scan, written out directly as
+    the oracle for the recogniser derived from single-peakedness."""
+    pos = order.position
+    rank = pref.rank_of
+    d = pos[pref.dip]
+    m = pref.m
+    for h in range(m):
+        ph = pos[h]
+        for g in range(m):
+            if h == g:
+                continue
+            pg = pos[g]
+            if (d <= ph < pg or pg < ph <= d) and rank[g] > rank[h]:
+                return False
+    return True
+
+
+def single_dipped_violation_by_scan(
+    pref: Preference, order: LinearOrder
+) -> ViolationWitness | None:
+    """The lexicographically least (middle, far) single-dipped witness, or
+    None: the direct scan, the oracle for the derived witness."""
+    pos = order.position
+    rank = pref.rank_of
+    dip = pref.dip
+    d = pos[dip]
+    m = pref.m
+    for middle in range(m):
+        if middle == dip:
+            continue
+        pm = pos[middle]
+        for far in range(m):
+            if far == middle or far == dip:
+                continue
+            pf = pos[far]
+            if d < pm < pf:
+                side = "right"
+            elif pf < pm < d:
+                side = "left"
+            else:
+                continue
+            if rank[middle] < rank[far]:
+                return ViolationWitness(NOT_SINGLE_DIPPED, dip, middle, far, side)
+    return None
 
 
 @pytest.fixture

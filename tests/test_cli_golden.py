@@ -77,6 +77,9 @@ CASES = [
     ["verify", "--domain", "sp,sd,sp", "--n", "3", "--exhaustive"],
     ["verify", "--domain", "sd", "--n", "4", "--random", "20", "--seed", "3"],
     ["verify", "--domain", "sp,sd,sd,sp", "--n", "4", "--random", "30", "--seed", "7"],
+    ["verify", "--domain", "union", "--n", "4", "--random", "25", "--seed", "11"],
+    ["verify", "--domain", "all", "--n", "4", "--random", "10", "--seed", "2"],
+    ["verify", "--domain", "union", "--n", "4", "--exhaustive"],
     ["verify", "--domain", "sp", "--n", "5", "--exhaustive"],
     ["verify", "--domain", "sp", "--n", "9", "--exhaustive"],
     ["verify", "--domain", "sp", "--n", "3", "--random", "0"],

@@ -9,6 +9,7 @@ from reallot.construct import (
 )
 from reallot.core import Allocation, LinearOrder, Preference
 from reallot.domains import (
+    enumerate_single_peaked,
     is_single_dipped,
     is_single_peaked,
     single_peaked_violation,
@@ -59,6 +60,54 @@ def test_complete_sp_picks_first_canonical_match():
     with pytest.raises(ValueError):
         # h1 over h2 with peak h3 contradicts single-peakedness.
         complete_sp(IDENTITY3, [(0, 1)], peak_hint=2)
+
+
+def _complete_sp_by_walk(order, constraints, peak_hint=None):
+    """The first single-peaked preference, in canonical enumeration order,
+    meeting the constraints and the peak, found by walking the whole
+    family: the oracle for ``complete_sp``."""
+    for p in enumerate_single_peaked(order):
+        if peak_hint is not None and p.peak != peak_hint:
+            continue
+        if all(p.prefers(better, worse) for better, worse in constraints):
+            return p
+    raise ValueError("no single-peaked preference satisfies the constraints")
+
+
+def test_complete_sp_matches_the_family_walk():
+    # Random orders, constraint sets (self- and cyclic constraints
+    # included) and peak hints at m <= 10: the same preference, or no
+    # preference from both.
+    rng = random.Random(29)
+    outcomes = {"found": 0, "none": 0}
+    for trial in range(1500):
+        m = rng.randint(1, 10)
+        order = LinearOrder.from_left_to_right(tuple(rng.sample(range(m), m)))
+        constraints = [
+            (rng.randrange(m), rng.randrange(m)) for _ in range(rng.choice((0, 1, 2, 3, 5)))
+        ]
+        peak_hint = rng.choice((None, rng.randrange(m)))
+        try:
+            expected = _complete_sp_by_walk(order, constraints, peak_hint)
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(ValueError):
+                complete_sp(order, constraints, peak_hint)
+        else:
+            assert complete_sp(order, constraints, peak_hint) == expected
+        outcomes["found" if expected is not None else "none"] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_complete_sp_scales_past_the_family_walk():
+    # 40 houses: the family has 2^39 members, the direct build 820 intervals.
+    order = LinearOrder.identity(40)
+    built = complete_sp(order, [(30, 10), (10, 39)], peak_hint=20)
+    assert built.peak == 20 and is_single_peaked(built, order)
+    assert built.prefers(30, 10) and built.prefers(10, 39)
+    with pytest.raises(ValueError):
+        complete_sp(order, [(0, 1)], peak_hint=39)
 
 
 def test_sp_witness_chains_always_completable():

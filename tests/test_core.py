@@ -121,6 +121,12 @@ def test_instance_validation():
         inst.house_index("h9")
 
 
+def test_default_instance_names_the_requested_agent_count():
+    for n in (-1, 0, 2):
+        with pytest.raises(ValueError, match=f"^need at least 3 agents, got {n}$"):
+            Instance.default(n)
+
+
 def test_profile_validation_and_replacement():
     inst = Instance.default(3)
     prefs = (pref("h1 h2 h3"),) * 3

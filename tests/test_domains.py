@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from reallot.core import Instance, LinearOrder, Preference, Profile
 from reallot.domains import (
     DomainSpec,
+    _profiles,
     enumerate_all_preferences,
     enumerate_single_dipped,
     enumerate_single_peaked,
@@ -19,7 +22,7 @@ from reallot.domains import (
     single_peaked_violation,
 )
 
-from conftest import pref
+from conftest import pref, single_dipped_by_scan, single_dipped_violation_by_scan
 
 
 IDENTITY3 = LinearOrder.identity(3)
@@ -127,6 +130,36 @@ def test_violations_certify_non_membership(data):
         assert wd.holds_for(p, order)
 
 
+def test_single_dipped_checks_match_the_direct_scans():
+    # Every ranking of up to six houses under five random orders each
+    # (4,365 rankings): the recogniser and the witness derived from the
+    # single-peaked scans equal the direct single-dipped scans, and each
+    # witness holds for exactly the preferences the literal chain admits.
+    rng = random.Random(17)
+    checked = 0
+    for m in range(1, 7):
+        for _ in range(5):
+            order = LinearOrder.from_left_to_right(tuple(rng.sample(range(m), m)))
+            prefs = [Preference(r) for r in itertools.permutations(range(m))]
+            witnesses = set()
+            for p in prefs:
+                checked += 1
+                assert is_single_dipped(p, order) == single_dipped_by_scan(p, order)
+                w = single_dipped_violation(p, order)
+                assert w == single_dipped_violation_by_scan(p, order)
+                if w is not None:
+                    witnesses.add(w)
+            for w in witnesses:
+                for p in prefs:
+                    literal = (
+                        p.dip == w.pivot
+                        and p.prefers(w.middle, w.far)
+                        and p.prefers(w.far, w.pivot)
+                    )
+                    assert w.holds_for(p, order) == literal
+    assert checked == 4_365
+
+
 def test_domain_spec_parsing_and_description():
     assert DomainSpec.parse("sp", 3) == DomainSpec.all_single_peaked(3)
     assert DomainSpec.parse("union", 4) == DomainSpec.union(4)
@@ -182,6 +215,35 @@ def test_sampling_is_deterministic_and_in_domain():
     assert drawn.prefs[0] == pref("h2 h1 h3")
 
 
+def test_sampling_streams_are_pinned():
+    # The union draws one coin bit (0: the SP block) before the per-agent
+    # draws, and a one-block spec draws no coin. Sweep reports on the union
+    # print counts only, so these values pin its stream.
+    inst = Instance.default(4)
+    union = [
+        [p.ranking for p in sample_profile(DomainSpec.union(4), inst, seed).prefs]
+        for seed in range(6)
+    ]
+    assert union == [
+        [(3, 2, 0, 1), (0, 3, 2, 1), (3, 2, 1, 0), (3, 2, 0, 1)],
+        [(2, 3, 1, 0), (1, 2, 3, 0), (1, 2, 3, 0), (1, 2, 3, 0)],
+        [(0, 3, 2, 1), (3, 2, 1, 0), (0, 3, 2, 1), (0, 1, 2, 3)],
+        [(2, 3, 1, 0), (2, 3, 1, 0), (2, 1, 0, 3), (2, 1, 3, 0)],
+        [(2, 1, 3, 0), (3, 2, 1, 0), (1, 2, 0, 3), (1, 0, 2, 3)],
+        [(0, 3, 1, 2), (3, 0, 2, 1), (0, 3, 1, 2), (0, 3, 2, 1)],
+    ]
+    three = Instance.default(3)
+    single = [
+        [p.ranking for p in sample_profile(DomainSpec.parse(text, 3), three, 7).prefs]
+        for text in ("sp", "sd", "all")
+    ]
+    assert single == [
+        [(1, 0, 2), (0, 1, 2), (2, 1, 0)],
+        [(2, 0, 1), (2, 1, 0), (0, 1, 2)],
+        [(1, 0, 2), (2, 0, 1), (2, 0, 1)],
+    ]
+
+
 def test_union_sampling_lands_in_one_half():
     inst = Instance.default(3)
     spec = DomainSpec.union(3)
@@ -193,6 +255,31 @@ def test_union_sampling_lands_in_one_half():
         assert all_sp or all_sd
         kinds.add("sp" if all_sp else "sd")
     assert kinds == {"sp", "sd"}  # the coin actually flips
+
+
+def test_generator_yields_each_profile_of_the_spec_once():
+    # Against a literal filter of all 216 profiles at n = 3: the union
+    # yields every all-SP or all-SD profile once, the SP block first; a
+    # one-block spec yields its product in itertools.product order; given
+    # seeds, the generator yields their samples in turn.
+    inst = Instance.default(3)
+    every = list(enumerate_all_preferences(3))
+    union = [p.prefs for p in _profiles(DomainSpec.union(3), inst)]
+    literal = [
+        prefs
+        for prefs in itertools.product(every, repeat=3)
+        if all(is_single_peaked(p, inst.order) for p in prefs)
+        or all(is_single_dipped(p, inst.order) for p in prefs)
+    ]
+    assert len(union) == len(set(union)) == DomainSpec.union(3).space_size(inst.order)
+    assert set(union) == set(literal)
+    assert all(all(is_single_peaked(p, inst.order) for p in prefs) for prefs in union[:64])
+    mixed = DomainSpec.parse("sp,all,sd", 3)
+    lists = [mixed.admissible(inst.order, a) for a in range(3)]
+    assert [p.prefs for p in _profiles(mixed, inst)] == list(itertools.product(*lists))
+    seeds = [5, 1, 5, 9]
+    for spec in (mixed, DomainSpec.union(3)):
+        assert list(_profiles(spec, inst, seeds)) == [sample_profile(spec, inst, s) for s in seeds]
 
 
 def test_unrestricted_sampling_is_uniform():

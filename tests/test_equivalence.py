@@ -235,7 +235,7 @@ def _unreduced_exhaustive_sweep(spec, n):
     the union halves' shared all-monotone profiles taken once."""
     inst = Instance.default(n)
     monotone = {monotone_increasing(inst.order), monotone_decreasing(inst.order)}
-    if spec.union_mode:
+    if spec == DomainSpec.union(n):
         phases = [(DomainSpec.all_single_peaked(n), False), (DomainSpec.all_single_dipped(n), True)]
     else:
         phases = [(spec, False)]
@@ -273,6 +273,35 @@ def test_orbit_sweep_matches_the_unreduced_sweep():
     assert verify_equivalence(union, 4, Scope.exhaustive(), jobs=1) == verify_equivalence(
         union, 4, Scope.exhaustive(), jobs=2
     )
+
+
+def test_union_sweep_scans_each_block_with_its_own_lists(monkeypatch):
+    # A union report holds counts only, and its blocks are the same size,
+    # so a sweep that scanned the SP block twice would print the same
+    # report. A spy on the kernel sees every representative: each is
+    # all-SP or all-SD, the SD block is reached, and no profile made of
+    # the two monotone rankings alone is scanned twice.
+    n = 4
+    order = Instance.default(n).order
+    rows = {}
+    for kind in ("sp", "sd"):
+        prefs = DomainSpec.parse(kind, n).admissible(order, 0)
+        rows[kind] = {tuple(r) for r in equivalence._better_table([p.ranking for p in prefs])}
+    scanned = []
+    kernel = equivalence._pair_efficient
+
+    def spy(table):
+        scanned.append(tuple(map(tuple, table)))
+        return kernel(table)
+
+    monkeypatch.setattr(equivalence, "_pair_efficient", spy)
+    verify_equivalence(DomainSpec.union(n), n, Scope.exhaustive())
+    in_sp = [set(t) <= rows["sp"] for t in scanned]
+    in_sd = [set(t) <= rows["sd"] for t in scanned]
+    assert all(a or b for a, b in zip(in_sp, in_sd))
+    assert any(b and not a for a, b in zip(in_sp, in_sd))
+    monotone_only = [t for t, a, b in zip(scanned, in_sp, in_sd) if a and b]
+    assert len(monotone_only) == len(set(monotone_only))
 
 
 def _mirror(pref: Preference) -> Preference:

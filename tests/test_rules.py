@@ -4,14 +4,13 @@ import random
 import pytest
 
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
-from reallot.domains import DomainSpec, enumerate_all_preferences
+from reallot.domains import DomainSpec, enumerate_all_preferences, sample_profile
 from reallot.efficiency import find_blocking_pair, find_improving_cycle
 from reallot.equivalence import Scope
 from reallot.rules import (
     Manipulation,
     Rule,
     StrategyProofnessReport,
-    _profiles_in_scope,
     check_corollary_sd,
     is_individually_rational,
     serial_dictatorship,
@@ -19,6 +18,7 @@ from reallot.rules import (
     ttc,
     worst_house_dictatorship,
 )
+from reallot.scope import _trial_seeds
 
 from conftest import profile_from
 
@@ -232,9 +232,15 @@ def _strategy_proofness_by_objects(rule, spec, n, scope):
             cache[profile.prefs] = rule(profile)
         return cache[profile.prefs]
 
+    if scope.kind == "exhaustive":
+        lists = [spec.admissible(instance.order, a) for a in range(n)]
+        in_scope = (Profile(instance, prefs) for prefs in itertools.product(*lists))
+    else:
+        seeds = _trial_seeds(scope.seed, scope.trials)
+        in_scope = (sample_profile(spec, instance, seed) for seed in seeds)
     profiles = checked = 0
     violations = []
-    for profile in _profiles_in_scope(spec, instance, scope):
+    for profile in in_scope:
         profiles += 1
         truthful = outcome(profile)
         for agent in range(n):
