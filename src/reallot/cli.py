@@ -20,7 +20,6 @@ import sys
 # Each command imports what it runs, so that a one-instance check does not
 # load the sweeps, the rules or the synthesizers.
 from .core import (
-    MIN_AGENTS,
     Allocation,
     BudgetError,
     Instance,
@@ -272,18 +271,19 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     from .domains import DomainSpec
-    from .equivalence import verify_equivalence
+    from .equivalence import _check_sweep_agents, verify_equivalence
     from .scope import Scope
 
-    if args.n < MIN_AGENTS:  # before the spec, whose errors would hide this one
-        raise ValueError(f"need at least {MIN_AGENTS} agents, got {args.n}")
+    # Both bounds before the spec: it holds one entry per agent, so a huge
+    # count would exhaust memory, and its errors would hide a low count.
+    _check_sweep_agents(args.n)
+    inst = Instance.default(args.n)
     spec = DomainSpec.parse(args.domain, args.n)
     if args.random is not None:
         scope = Scope.randomized(args.seed, args.random)
     else:
         scope = Scope.exhaustive()
     report = verify_equivalence(spec, args.n, scope, jobs=args.jobs)
-    inst = Instance.default(args.n)
     print(f"domain: {spec.describe()}")
     print(f"n: {args.n}")
     print(f"scope: {report.scope.describe()}")

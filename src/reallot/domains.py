@@ -337,11 +337,15 @@ class DomainSpec:
             return "spec " + ",".join(self.per_agent)
         return "explicit"
 
-    def admissible(self, order: LinearOrder, agent: int) -> tuple[Preference, ...]:
-        """The agent's preference set, in canonical order."""
+    def _agent_entry(self, agent: int) -> _Entry:
+        """The agent's row of the entry table; the union has none."""
         if self.per_agent is None:
             raise ValueError("the union has no per-agent sets")
-        return _entry(self.per_agent[agent]).prefs(order)
+        return _entry(self.per_agent[agent])
+
+    def admissible(self, order: LinearOrder, agent: int) -> tuple[Preference, ...]:
+        """The agent's preference set, in canonical order."""
+        return self._agent_entry(agent).prefs(order)
 
     def space_size(self, order: LinearOrder) -> int:
         """Number of profiles the spec denotes."""
@@ -372,17 +376,22 @@ def _swept_before(order: LinearOrder, k: int) -> frozenset:
 
 
 def sample_profile(spec: DomainSpec, instance: Instance, seed: int) -> Profile:
-    """One profile drawn uniformly per agent from the admissible sets.
+    """One profile drawn uniformly from the profiles the spec denotes.
 
-    Deterministic for a fixed seed. For the union a single coin picks the
-    all-SP or all-SD block first, then every agent samples within it.
+    Deterministic for a fixed seed. A coin picks the union's block, and
+    each agent draws uniformly within it. A draw that ``_swept_before``
+    names lies in an earlier block too, so it is made again from the coin.
     """
-    rng = random.Random(seed)
-    block = spec.blocks[rng.getrandbits(1)] if len(spec.blocks) > 1 else spec.blocks[0]
-    if len(block) != instance.n:
+    if spec.n != instance.n:
         raise ValueError("spec and instance disagree on the agent count")
+    rng = random.Random(seed)
     order = instance.order
-    return Profile(instance, tuple(_entry(e).draw(order, rng) for e in block))
+    while True:
+        k = rng.getrandbits(1) if len(spec.blocks) > 1 else 0
+        skip = _swept_before(order, k)
+        prefs = tuple(_entry(e).draw(order, rng) for e in spec.blocks[k])
+        if not all(p in skip for p in prefs):
+            return Profile(instance, prefs)
 
 
 def _profiles(

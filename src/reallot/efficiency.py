@@ -1,17 +1,20 @@
 """Efficiency checkers: blocking pairs, improving trade cycles, and the
 brute-force domination oracle.
 
-The two production checkers ride on the envy digraph (edge a -> b when a
+The production checkers ride on the envy digraph (edge a -> b when a
 strictly prefers b's assigned house): a 2-cycle is exactly a blocking
-pair, and any cycle is exactly an efficiency-improving trade. The
-brute-force oracle stays a literal scan of all allocations so the two
+pair, and any cycle is exactly an efficiency-improving trade. A digraph
+is held as successor masks, and ``_envy_cycle`` is the one cycle walk:
+``find_improving_cycle`` runs it over agents and the kernel over houses.
+The brute-force oracle stays a literal scan of all allocations so the two
 routes remain independent of each other.
 
 The per-profile scans share one bitmask kernel: a pruned enumeration of
-the pair-efficient allocations, a cycle finder on the house-space envy
+the pair-efficient allocations, the cycle walk on the house-space envy
 digraph, and the one-pass check of the blocking-pair extraction claims.
-The per-allocation functions above it stay as they are and serve as the
-kernel's oracles.
+The per-allocation functions above it serve as the kernel's oracles; the
+walk they share is checked against a depth-first search kept in the
+tests and against the brute-force dominator.
 """
 
 from __future__ import annotations
@@ -59,80 +62,43 @@ def _blocking_pair_raw(ranks: Sequence[Sequence[int]], alloc: Sequence[int]) -> 
     return None
 
 
-def _succ_raw(ranks: Sequence[Sequence[int]], alloc: Sequence[int]) -> list[list[int]]:
+def _envy_masks(ranks: Sequence[Sequence[int]], alloc: Sequence[int]) -> list[int]:
+    """``succ[a]``: the mask of agents whose assigned house agent a strictly
+    prefers to its own, the successor set of a in the envy digraph."""
     n = len(alloc)
     succ = []
     for a in range(n):
         ra = ranks[a]
         own = ra[alloc[a]]
-        succ.append([b for b in range(n) if b != a and ra[alloc[b]] < own])
+        mask = 0
+        for b in range(n):
+            if ra[alloc[b]] < own:
+                mask |= 1 << b
+        succ.append(mask)
     return succ
 
 
-def _first_cycle(succ: Sequence[Sequence[int]]) -> list[int] | None:
-    # Iterative DFS, starts and neighbors in ascending agent order; the
-    # first back edge to an on-stack node closes the reported cycle.
-    n = len(succ)
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        state[start] = 1
-        stack = [(start, iter(succ[start]))]
-        path = [start]
-        while stack:
-            _node, it = stack[-1]
-            pushed = False
-            for nxt in it:
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    path.append(nxt)
-                    pushed = True
-                    break
-                if state[nxt] == 1:
-                    return path[path.index(nxt) :]
-            if not pushed:
-                done, _ = stack.pop()
-                state[done] = 2
-                path.pop()
-    return None
-
-
-def _shortest_cycle(succ: Sequence[Sequence[int]]) -> list[int] | None:
-    n = len(succ)
-    succ_sets = [set(s) for s in succ]
-    for a in range(n):
-        for b in succ[a]:
-            if a in succ_sets[b]:
-                return [a, b]
+def _shortest_cycle(succ: Sequence[int]) -> list[int] | None:
+    """A shortest cycle of the digraph given by successor masks, or None:
+    a breadth-first search from each node in turn, the least start winning
+    ties. Each queued path runs from the start along the search tree."""
     best: list[int] | None = None
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        closing = -1
-        while queue and closing < 0:
-            x = queue.popleft()
-            for y in succ[x]:
-                if y == s:
-                    closing = x
-                    break
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-        if closing < 0:
-            continue
-        back = []
-        node = closing
-        while node != s:
-            back.append(node)
-            node = parent[node]
-        cycle = [s] + back[::-1]
-        if best is None or len(cycle) < len(best):
-            best = cycle
+    for s in range(len(succ)):
+        seen = 1 << s
+        queue = deque([[s]])
+        while queue:
+            path = queue.popleft()
+            x = path[-1]
+            if succ[x] >> s & 1:
+                if best is None or len(path) < len(best):
+                    best = path
+                break
+            new = succ[x] & ~seen
+            seen |= new
+            while new:
+                bit = new & -new
+                new ^= bit
+                queue.append(path + [bit.bit_length() - 1])
     return best
 
 
@@ -150,16 +116,16 @@ def find_improving_cycle(
 ) -> ImprovingCycle | None:
     """A cycle of the envy digraph, or None (mu is then Pareto-efficient).
 
-    Default mode reports the first cycle met by depth-first search from
-    the least agent; ``shortest=True`` scans 2-cycles first and then does
-    a breadth-first search per node, so blocking pairs surface whenever
-    one exists.
+    Default mode reports the cycle that the kernel's walk closes from the
+    least agent, the first cycle a depth-first search in ascending agent
+    order meets; ``shortest=True`` returns a shortest cycle by
+    breadth-first search, which is the least blocking pair when one exists.
     """
     if mu.n != profile.n:
         raise ValueError("allocation size does not match the profile")
     ranks = [p.rank_of for p in profile.prefs]
-    succ = _succ_raw(ranks, mu.assign)
-    cycle = _shortest_cycle(succ) if shortest else _first_cycle(succ)
+    succ = _envy_masks(ranks, mu.assign)
+    cycle = _shortest_cycle(succ) if shortest else _envy_cycle(succ)
     return None if cycle is None else ImprovingCycle(tuple(cycle))
 
 
@@ -227,12 +193,8 @@ def brute_force_dominator(profile: Profile, mu: Allocation) -> Allocation | None
 def apply_cycle(mu: Allocation, cycle: ImprovingCycle | Iterable[int]) -> Allocation:
     """Trade along the cycle: each listed agent takes the house mu gave to
     the next listed agent; everyone else keeps theirs."""
-    agents = tuple(cycle.agents if isinstance(cycle, ImprovingCycle) else cycle)
+    agents = ImprovingCycle(cycle.agents if isinstance(cycle, ImprovingCycle) else cycle).agents
     k = len(agents)
-    if k < 2:
-        raise ValueError("a trade cycle needs at least two agents")
-    if len(set(agents)) != k:
-        raise ValueError("repeated agent in cycle")
     assign = list(mu.assign)
     n = len(assign)
     for a in agents:
@@ -276,14 +238,18 @@ def _better_table(rankings: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _envy_cycle(succ: Sequence[int]) -> list[int] | None:
-    """A cycle h1 -> h2 -> ... -> hk -> h1 of the house-space envy digraph
-    given by successor masks, or None when the digraph is acyclic.
+    """A cycle v1 -> v2 -> ... -> vk -> v1 of the digraph given by successor
+    masks, or None when it is acyclic; the nodes are houses in the kernel
+    and agents in ``find_improving_cycle``.
 
-    A walk follows the least successor still in play. A house with no
-    successor in play is a sink: it is peeled, and the walk steps back.
-    A walk that reaches a house already on it has closed a cycle; a graph
-    peeled to nothing is acyclic. Every step but the last pushes or peels
-    a house, so the test ends within 2n + 1 steps.
+    A walk starts at the least node still in play and follows the least
+    successor still in play. A node with no successor in play is a sink:
+    it is peeled, and the walk steps back. A walk that reaches a node
+    already on it has closed a cycle; a graph peeled to nothing is
+    acyclic. A peeled sink is a node that depth-first search in ascending
+    order has finished, so the cycle is the first one that search meets.
+    Every step but the last pushes or peels a node, so the test ends
+    within 2n + 1 steps.
     """
     live = (1 << len(succ)) - 1
     path: list[int] = []

@@ -365,6 +365,12 @@ def _violation_key(v: Violation):
     return (tuple(p.ranking for p in v.profile.prefs), v.mu.assign)
 
 
+def _check_sweep_agents(n: int):
+    """The one upper guard on the agent count of a domain sweep."""
+    if n > BRUTE_FORCE_MAX_AGENTS:
+        raise BudgetError(f"domain sweeps are guarded to n <= {BRUTE_FORCE_MAX_AGENTS}")
+
+
 def verify_equivalence(
     spec: DomainSpec,
     n: int,
@@ -386,8 +392,7 @@ def verify_equivalence(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if n > BRUTE_FORCE_MAX_AGENTS:
-        raise BudgetError(f"domain sweeps are guarded to n <= {BRUTE_FORCE_MAX_AGENTS}")
+    _check_sweep_agents(n)
     instance = Instance.default(n)
     budget = _resolve_budget(budget)
     fact = math.factorial(n)

@@ -75,27 +75,31 @@ def ttc(profile: Profile) -> Allocation:
 TTC = Rule("ttc", ttc)
 
 
+def _serial_picks(rankings: Sequence[Sequence[int]], order: Sequence[int]) -> Allocation:
+    """Agents in ``order`` each take the first free house of their ranking."""
+    taken = [False] * len(rankings)
+    assigned = [-1] * len(rankings)
+    for agent in order:
+        for house in rankings[agent]:
+            if not taken[house]:
+                assigned[agent] = house
+                taken[house] = True
+                break
+    return Allocation(tuple(assigned))
+
+
 def serial_dictatorship(priority: Sequence[int] | None = None) -> Rule:
     """Agents pick their best remaining house in priority order."""
 
     def run(profile: Profile) -> Allocation:
-        n = profile.n
-        order = tuple(priority) if priority is not None else tuple(range(n))
-        taken = [False] * n
-        assigned = [-1] * n
-        for agent in order:
-            for house in profile.prefs[agent].ranking:
-                if not taken[house]:
-                    assigned[agent] = house
-                    taken[house] = True
-                    break
-        return Allocation(tuple(assigned))
+        order = tuple(priority) if priority is not None else range(profile.n)
+        return _serial_picks([p.ranking for p in profile.prefs], order)
 
     return Rule("serial-dictatorship", run)
 
 
 def worst_house_dictatorship() -> Rule:
-    """Agents receive their worst remaining reported house in index order.
+    """Serial dictatorship in index order on every ranking read worst-to-best.
 
     Deliberately manipulable (report your ranking reversed and this hands
     you your true favorite); used as a positive control for the
@@ -103,16 +107,7 @@ def worst_house_dictatorship() -> Rule:
     """
 
     def run(profile: Profile) -> Allocation:
-        n = profile.n
-        taken = [False] * n
-        assigned = [-1] * n
-        for agent in range(n):
-            for house in reversed(profile.prefs[agent].ranking):
-                if not taken[house]:
-                    assigned[agent] = house
-                    taken[house] = True
-                    break
-        return Allocation(tuple(assigned))
+        return _serial_picks([p.ranking[::-1] for p in profile.prefs], range(profile.n))
 
     return Rule("worst-house-dictatorship", run)
 
@@ -157,13 +152,15 @@ def check_strategy_proofness(
     """
     instance = Instance.default(n)
     budget = _resolve_budget(budget)
-    lists = [spec.admissible(instance.order, a) for a in range(n)]
-    sizes = [len(prefs) for prefs in lists]
+    # Sized from the entry table, so a refused sweep lists no preferences.
+    entries = [spec._agent_entry(a) for a in range(n)]
+    sizes = [e.size(instance.order) for e in entries]
     per_profile = sum(s - 1 for s in sizes)
     count = math.prod(sizes) if scope.kind == "exhaustive" else scope.trials
     cases = count * per_profile
     if cases > budget:
         raise BudgetError(f"misreport sweep needs {cases} cases, budget is {budget}")
+    lists = [e.prefs(instance.order) for e in entries]
 
     # A profile is coded as sum(idx[a] * strides[a]) over its list indices,
     # the last agent fastest, so range() runs in itertools.product order.

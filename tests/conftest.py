@@ -1,6 +1,7 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
-envy-graph oracle and the direct single-dipped oracles."""
+envy-graph and cycle-search oracles and the direct single-dipped oracles."""
 
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
@@ -50,6 +51,88 @@ class EnvyGraph:
         adj = self.adjacency
         n = len(adj)
         return [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a][b] and adj[b][a]]
+
+
+def _succ_raw(ranks, alloc):
+    """Envy successor lists in ascending agent order: the list form of the
+    digraph whose masks ``find_improving_cycle`` walks."""
+    n = len(alloc)
+    succ = []
+    for a in range(n):
+        ra = ranks[a]
+        own = ra[alloc[a]]
+        succ.append([b for b in range(n) if b != a and ra[alloc[b]] < own])
+    return succ
+
+
+def _first_cycle(succ):
+    """The first cycle an iterative depth-first search meets, starts and
+    neighbours in ascending order: the oracle for the default mode of
+    ``find_improving_cycle``, which runs the kernel's sink-peeling walk."""
+    n = len(succ)
+    state = [0] * n  # 0 new, 1 on stack, 2 done
+    for start in range(n):
+        if state[start]:
+            continue
+        state[start] = 1
+        stack = [(start, iter(succ[start]))]
+        path = [start]
+        while stack:
+            _node, it = stack[-1]
+            pushed = False
+            for nxt in it:
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(succ[nxt])))
+                    path.append(nxt)
+                    pushed = True
+                    break
+                if state[nxt] == 1:
+                    return path[path.index(nxt) :]
+            if not pushed:
+                done, _ = stack.pop()
+                state[done] = 2
+                path.pop()
+    return None
+
+
+def _shortest_cycle(succ):
+    """A 2-cycle scan, then a breadth-first search per node over successor
+    lists: the oracle for ``find_improving_cycle(..., shortest=True)``."""
+    n = len(succ)
+    succ_sets = [set(s) for s in succ]
+    for a in range(n):
+        for b in succ[a]:
+            if a in succ_sets[b]:
+                return [a, b]
+    best = None
+    for s in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        closing = -1
+        while queue and closing < 0:
+            x = queue.popleft()
+            for y in succ[x]:
+                if y == s:
+                    closing = x
+                    break
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+        if closing < 0:
+            continue
+        back = []
+        node = closing
+        while node != s:
+            back.append(node)
+            node = parent[node]
+        cycle = [s] + back[::-1]
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
 
 
 def single_dipped_by_scan(pref: Preference, order: LinearOrder) -> bool:

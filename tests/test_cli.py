@@ -256,6 +256,16 @@ def test_verify_checks_the_agent_count_before_the_spec(capsys):
     assert capsys.readouterr().err == "error: domain sweeps are guarded to n <= 8\n"
 
 
+def test_verify_guards_huge_agent_counts_before_the_spec(capsys):
+    # The spec holds one entry per agent; the guard must refuse first,
+    # so neither count allocates anything.
+    for n in ("1000000000000", "100000000000000000000"):
+        assert main(["verify", "--domain", "sp", "--n", n, "--random", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domain sweeps are guarded to n <= 8\n"
+
+
 def test_internal_invariant_failure_exits_four(monkeypatch, capsys):
     # An oracle that finds no dominator for a gap the cycle checker saw.
     monkeypatch.setattr(equivalence, "brute_force_dominator", lambda profile, mu: None)

@@ -244,6 +244,22 @@ def test_sampling_streams_are_pinned():
     ]
 
 
+def test_union_sampling_is_uniform_on_the_overlap():
+    # The 2^n all-monotone profiles lie in both blocks of the union; a
+    # uniform draw gives them their share of the union's profiles, not
+    # twice it.
+    inst = Instance.default(3)
+    spec = DomainSpec.union(3)
+    monotone = {monotone_increasing(inst.order), monotone_decreasing(inst.order)}
+    draws = 12_000
+    hits = sum(
+        all(p in monotone for p in sample_profile(spec, inst, seed).prefs)
+        for seed in range(draws)
+    )
+    expected = draws * 2**3 / spec.space_size(inst.order)
+    assert abs(hits - expected) <= 0.15 * expected
+
+
 def test_union_sampling_lands_in_one_half():
     inst = Instance.default(3)
     spec = DomainSpec.union(3)

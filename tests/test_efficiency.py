@@ -10,9 +10,7 @@ from reallot.efficiency import (
     _better_table,
     _blocking_pair_raw,
     _envy_cycle,
-    _first_cycle,
     _pair_efficient,
-    _succ_raw,
     apply_cycle,
     brute_force_dominator,
     count_efficient,
@@ -21,7 +19,7 @@ from reallot.efficiency import (
     pareto_dominates,
 )
 
-from conftest import EnvyGraph, profile_from
+from conftest import EnvyGraph, _first_cycle, _shortest_cycle, _succ_raw, profile_from
 
 
 def oracle_blocking(profile, mu):
@@ -287,3 +285,45 @@ def test_envy_cycle_agrees_with_brute_force_on_every_allocation():
                 assert len(set(cycle)) == len(cycle) >= 2
                 for i, h in enumerate(cycle):
                     assert succ[h] >> cycle[(i + 1) % len(cycle)] & 1
+
+
+def cycle_search_cases():
+    """Every allocation of every profile at n = 3, then 1,200 sampled
+    (profile, allocation) pairs for each n = 4..7, the profiles drawn in
+    turn from the unrestricted domain and from an alternating SP/SD spec.
+    Every tenth mixed profile also gives its dominated pair-efficient
+    allocations, whose cycles are all longer than two."""
+    for profile in all_profiles_n3():
+        for perm in itertools.permutations(range(3)):
+            yield profile, Allocation(perm)
+    rng = random.Random(29)
+    for n in range(4, 8):
+        inst = Instance.default(n)
+        mixed = DomainSpec.parse(",".join(("sp", "sd")[a % 2] for a in range(n)), n)
+        specs = (DomainSpec.unrestricted(n), mixed)
+        for seed in range(1200):
+            profile = sample_profile(specs[seed % 2], inst, seed)
+            yield profile, Allocation(tuple(rng.sample(range(n), n)))
+            if seed % 20 == 1:
+                better = _better_table([p.ranking for p in profile.prefs])
+                for perm, efficient in _pair_efficient(better):
+                    if not efficient:
+                        yield profile, Allocation(perm)
+
+
+def test_find_improving_cycle_returns_the_oracle_cycles():
+    # The same cycle, not just a valid one: the default mode against the
+    # depth-first search, shortest mode against the 2-cycle scan and
+    # breadth-first search over successor lists.
+    bfs_runs = 0
+    for profile, mu in cycle_search_cases():
+        succ = _succ_raw([p.rank_of for p in profile.prefs], mu.assign)
+        for shortest, oracle in ((False, _first_cycle), (True, _shortest_cycle)):
+            cycle = find_improving_cycle(profile, mu, shortest=shortest)
+            expected = oracle(succ)
+            got = None if cycle is None else list(cycle.agents)
+            assert got == expected
+        # No 2-cycle but a longer one: the breadth-first search must go
+        # past its first level.
+        bfs_runs += expected is not None and len(expected) > 2
+    assert bfs_runs > 500

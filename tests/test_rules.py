@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from reallot import domains
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import DomainSpec, enumerate_all_preferences, sample_profile
 from reallot.efficiency import find_blocking_pair, find_improving_cycle
@@ -278,6 +280,22 @@ def _harness_specs():
         yield DomainSpec.parse(text, 4), 4, Scope.randomized(seed=41, trials=25)
     for text in ("sp", "sd", "all", "all,sp,sd,sp,sd"):
         yield DomainSpec.parse(text, 5), 5, Scope.randomized(seed=43, trials=12)
+
+
+def test_strategy_proofness_refuses_before_it_lists(monkeypatch):
+    # Sized from the entry table: a refused sweep of `all` at n = 8 must
+    # not build the 8! rankings of any agent.
+    def unlisted(m):
+        raise AssertionError("the refused sweep listed preferences")
+
+    monkeypatch.setattr(domains, "enumerate_all_preferences", unlisted)
+    size = math.factorial(8)
+    cases = size**8 * 8 * (size - 1)
+    with pytest.raises(BudgetError) as caught:
+        check_strategy_proofness(
+            Rule("ttc", ttc), DomainSpec.unrestricted(8), 8, Scope.exhaustive(), budget=100
+        )
+    assert str(caught.value) == f"misreport sweep needs {cases} cases, budget is 100"
 
 
 def test_strategy_proofness_matches_the_object_loop():
