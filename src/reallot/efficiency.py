@@ -7,7 +7,8 @@ pair, and any cycle is exactly an efficiency-improving trade. A digraph
 is held as successor masks, and ``_envy_cycle`` is the one cycle walk:
 ``find_improving_cycle`` runs it over agents and the kernel over houses.
 The brute-force oracle stays a literal scan of all allocations so the two
-routes remain independent of each other.
+routes remain independent of each other; one walk of that scan answers
+every allocation a profile lists.
 
 The per-profile scans share one bitmask kernel: a pruned enumeration of
 the pair-efficient allocations, the cycle walk on the house-space envy
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, Profile
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, Preference, Profile
 
 RED = "red"
 BLUE = "blue"
@@ -173,21 +174,66 @@ def brute_force_dominator(profile: Profile, mu: Allocation) -> Allocation | None
         raise BudgetError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_AGENTS}, got {n}")
     if mu.n != n:
         raise ValueError("allocation size does not match the profile")
-    ranks = [p.rank_of for p in profile.prefs]
-    own = [ranks[a][mu.assign[a]] for a in range(n)]
-    for perm in itertools.permutations(range(n)):
-        strict = False
-        ok = True
-        for a in range(n):
-            r = ranks[a][perm[a]]
-            if r > own[a]:
-                ok = False
+    (nu,) = _first_dominators(profile.prefs, [mu.assign])
+    return None if nu is None else Allocation(nu)
+
+
+def _first_dominators(
+    prefs: Sequence[Preference], assigns: Sequence[Sequence[int]]
+) -> list[tuple[int, ...] | None]:
+    """For each listed allocation of one profile, the first allocation in
+    canonical order that Pareto-dominates it, or None.
+
+    One literal walk of ``itertools.permutations`` serves every listed
+    allocation: bit i of ``ok[a][h]`` is set when agent a ranks house h no
+    lower than the house allocation i gives it, so a permutation weakly
+    dominates exactly the allocations whose bits survive the AND over its
+    agents. Each survivor is confirmed strict by the definition, and the
+    walk stops once every allocation has its answer. A row is built in
+    O(n + g) for g allocations: each allocation's bit goes to the house it
+    gives the agent, and the bits are ORed as a suffix along the ranking,
+    worst house first. Only the preferences are read.
+    """
+    n = len(prefs)
+    agents = range(n)
+    ok = []
+    for a, pref in enumerate(prefs):
+        row = [0] * n
+        bit = 1
+        for assign in assigns:
+            row[assign[a]] |= bit
+            bit <<= 1
+        acc = 0
+        for h in reversed(pref.ranking):
+            acc |= row[h]
+            row[h] = acc
+        ok.append(row)
+    first: list[tuple[int, ...] | None] = [None] * len(assigns)
+    pending = (1 << len(assigns)) - 1
+    first_row = ok[0]
+    rest = agents[1:]
+    for perm in itertools.permutations(agents):
+        weak = pending & first_row[perm[0]]
+        if not weak:
+            continue
+        for a in rest:
+            weak &= ok[a][perm[a]]
+            if not weak:
                 break
-            if r < own[a]:
-                strict = True
-        if ok and strict:
-            return Allocation(perm)
-    return None
+        else:
+            while weak:
+                bit = weak & -weak
+                weak ^= bit
+                i = bit.bit_length() - 1
+                for a in agents:
+                    rank = prefs[a].rank_of
+                    if rank[perm[a]] < rank[assigns[i][a]]:
+                        first[i] = perm
+                        pending ^= bit
+                        break
+            if not pending:
+                break
+    return first
 
 
 def apply_cycle(mu: Allocation, cycle: ImprovingCycle | Iterable[int]) -> Allocation:

@@ -41,11 +41,10 @@ from .efficiency import (
     _better_table,
     _blocking_pair_raw,
     _extraction_pass,
+    _first_dominators,
     _pair_efficient,
     _pair_slots,
     apply_cycle,
-    brute_force_dominator,
-    find_blocking_pair,
     pareto_dominates,
 )
 # The sweep scope, the budget and the seeds live in scope.py; they are
@@ -192,17 +191,20 @@ def _gap_allocations(profile: Profile) -> list[tuple[int, ...]]:
 
 
 def _certified(profile: Profile, gaps) -> list[Violation]:
-    """One violation per gap allocation; the dominating partner comes from
-    the brute-force oracle, independent of the cycle checker that spotted
-    the gap, and pair-efficiency is re-checked per allocation."""
+    """One violation per gap allocation; the dominating partners come from
+    one walk of the brute-force oracle over all the gaps, independent of
+    the cycle checker that spotted them, and pair-efficiency is re-checked
+    per allocation."""
+    if not gaps:
+        return []
+    ranks = [p.rank_of for p in profile.prefs]
     found: list[Violation] = []
-    for assign in gaps:
-        mu = Allocation(assign)
-        nu = brute_force_dominator(profile, mu)
+    for assign, nu in zip(gaps, _first_dominators(profile.prefs, gaps)):
         if nu is None:
             raise RuntimeError("cycle checker and brute-force oracle disagree")
-        witness = build_witness(profile, mu, nu)
-        if find_blocking_pair(profile, mu) is not None:
+        mu = Allocation(assign)
+        witness = build_witness(profile, mu, Allocation(nu))
+        if _blocking_pair_raw(ranks, assign) is not None:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))
     return found
@@ -426,16 +428,12 @@ def verify_equivalence(
     results = _run_tasks(task_fn, tasks, jobs)
     profiles = sum(r[0] for r in results)
     allocations = sum(r[1] for r in results)
-    merged: list[Violation] = []
-    seen = set()
+    merged: dict[tuple, Violation] = {}
     for _, _, found in results:
         for v in found:
-            key = _violation_key(v)
-            if key not in seen:
-                seen.add(key)
-                merged.append(v)
-    merged.sort(key=_violation_key)
-    return EquivalenceReport(spec, scope, profiles, allocations, tuple(merged))
+            merged.setdefault(_violation_key(v), v)
+    violations = tuple(merged[key] for key in sorted(merged))
+    return EquivalenceReport(spec, scope, profiles, allocations, violations)
 
 
 def find_gap_witness(

@@ -1,6 +1,8 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
-envy-graph and cycle-search oracles and the direct single-dipped oracles."""
+envy-graph, cycle-search and dominator oracles and the direct single-dipped
+oracles."""
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -133,6 +135,28 @@ def _shortest_cycle(succ):
         if best is None or len(cycle) < len(best):
             best = cycle
     return best
+
+
+def _first_dominator(ranks, assign):
+    """The first permutation in canonical order that Pareto-dominates the
+    allocation ``assign``, or None: a scan of one allocation at a time, the
+    oracle for ``efficiency._first_dominators``, which walks once for a
+    whole list."""
+    n = len(assign)
+    own = [ranks[a][assign[a]] for a in range(n)]
+    for perm in itertools.permutations(range(n)):
+        strict = False
+        ok = True
+        for a in range(n):
+            r = ranks[a][perm[a]]
+            if r > own[a]:
+                ok = False
+                break
+            if r < own[a]:
+                strict = True
+        if ok and strict:
+            return perm
+    return None
 
 
 def single_dipped_by_scan(pref: Preference, order: LinearOrder) -> bool:

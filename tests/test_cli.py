@@ -267,8 +267,10 @@ def test_verify_guards_huge_agent_counts_before_the_spec(capsys):
 
 
 def test_internal_invariant_failure_exits_four(monkeypatch, capsys):
-    # An oracle that finds no dominator for a gap the cycle checker saw.
-    monkeypatch.setattr(equivalence, "brute_force_dominator", lambda profile, mu: None)
+    # An oracle that finds no dominator for any gap the cycle checker saw.
+    monkeypatch.setattr(
+        equivalence, "_first_dominators", lambda prefs, assigns: [None] * len(assigns)
+    )
     assert main(["verify", "--domain", "sp,sd,sp", "--n", "3", "--exhaustive"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "internal error: cycle checker and brute-force oracle disagree\n"

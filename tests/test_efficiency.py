@@ -10,6 +10,7 @@ from reallot.efficiency import (
     _better_table,
     _blocking_pair_raw,
     _envy_cycle,
+    _first_dominators,
     _pair_efficient,
     apply_cycle,
     brute_force_dominator,
@@ -19,7 +20,14 @@ from reallot.efficiency import (
     pareto_dominates,
 )
 
-from conftest import EnvyGraph, _first_cycle, _shortest_cycle, _succ_raw, profile_from
+from conftest import (
+    EnvyGraph,
+    _first_cycle,
+    _first_dominator,
+    _shortest_cycle,
+    _succ_raw,
+    profile_from,
+)
 
 
 def oracle_blocking(profile, mu):
@@ -327,3 +335,39 @@ def test_find_improving_cycle_returns_the_oracle_cycles():
         # past its first level.
         bfs_runs += expected is not None and len(expected) > 2
     assert bfs_runs > 500
+
+
+def dominator_cases():
+    """(profile, allocation list) pairs: every profile at n = 3 with all six
+    allocations, dominated and not, and one of them listed twice; then
+    sampled profiles at n = 4..7, drawn in turn from the unrestricted domain
+    and an alternating SP/SD spec, each with the kernel's gap list and with
+    a random subset of its allocations."""
+    perms = list(itertools.permutations(range(3)))
+    for profile in all_profiles_n3():
+        yield profile, perms + [perms[4]]
+    rng = random.Random(41)
+    for n, count in ((4, 60), (5, 30), (6, 12), (7, 6)):
+        inst = Instance.default(n)
+        mixed = DomainSpec.parse(",".join(("sp", "sd")[a % 2] for a in range(n)), n)
+        specs = (DomainSpec.unrestricted(n), mixed)
+        perms = list(itertools.permutations(range(n)))
+        for seed in range(count):
+            profile = sample_profile(specs[seed % 2], inst, seed)
+            better = _better_table([p.ranking for p in profile.prefs])
+            yield profile, [perm for perm, efficient in _pair_efficient(better) if not efficient]
+            yield profile, rng.sample(perms, 10)
+
+
+def test_first_dominators_match_the_one_allocation_scan():
+    dominated = 0
+    for profile, assigns in dominator_cases():
+        ranks = [p.rank_of for p in profile.prefs]
+        expected = [_first_dominator(ranks, assign) for assign in assigns]
+        assert _first_dominators(profile.prefs, assigns) == expected
+        if profile.n == 3:
+            got = [brute_force_dominator(profile, Allocation(a)) for a in assigns]
+            assert got == [None if nu is None else Allocation(nu) for nu in expected]
+        else:
+            dominated += sum(nu is not None for nu in expected)
+    assert dominated > 500

@@ -230,6 +230,27 @@ def test_verify_equivalence_finds_the_mixed_gap(gap_example):
         assert pareto_dominates(v.profile, v.witness.nu, v.mu)
 
 
+def test_clean_sweeps_never_reach_the_dominator_scan(monkeypatch):
+    calls = []
+
+    def spy(prefs, assigns):
+        calls.append(len(assigns))
+        return scan(prefs, assigns)
+
+    scan = equivalence._first_dominators
+    monkeypatch.setattr(equivalence, "_first_dominators", spy)
+    # No gaps: nothing of the profile is read, not even its rank rows.
+    assert equivalence._certified(object(), []) == []
+    for spec, n, scope in (("sp", 4, Scope.exhaustive()), ("sd", 6, Scope.randomized(5, 200))):
+        assert verify_equivalence(DomainSpec.parse(spec, n), n, scope).ok
+    assert calls == []
+    # The spy is wired: a gapped sweep walks once per gapped profile, for
+    # all of its gaps together.
+    report = verify_equivalence(DomainSpec.parse("sp,sd,sp", 3), 3, Scope.exhaustive())
+    assert len(calls) == len({v.profile for v in report.violations}) > 1
+    assert sum(calls) == len(report.violations)
+
+
 def _unreduced_exhaustive_sweep(spec, n):
     """The report of scanning every profile of the domain in turn, with
     the union halves' shared all-monotone profiles taken once."""
