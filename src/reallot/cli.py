@@ -20,6 +20,8 @@ import sys
 # Each command imports what it runs, so that a one-instance check does not
 # load the sweeps, the rules or the synthesizers.
 from .core import (
+    SINGLE_DIPPED,
+    SINGLE_PEAKED,
     Allocation,
     BudgetError,
     Instance,
@@ -27,6 +29,7 @@ from .core import (
     ParseError,
     Preference,
     Profile,
+    _resolve_budget,
 )
 
 BLUE = "\x1b[34m"
@@ -404,11 +407,20 @@ def cmd_count(args) -> int:
 
 def cmd_enum(args) -> int:
     from .domains import (
+        UNRESTRICTED,
+        _family_exceeds,
         enumerate_all_preferences,
         enumerate_single_dipped,
         enumerate_single_peaked,
     )
 
+    # Sized before any name or order is built: a huge --m must be refused,
+    # not allocated. Under the budget the families stream.
+    kind = SINGLE_PEAKED if args.sp else SINGLE_DIPPED if args.sd else UNRESTRICTED
+    budget = _resolve_budget(None)
+    if _family_exceeds(kind, args.m, budget):
+        size = f"{args.m}!" if args.all else f"2^{args.m - 1}"
+        raise BudgetError(f"enum needs {size} preferences, budget is {budget}")
     inst_names = tuple(f"h{i + 1}" for i in range(args.m))
     order = LinearOrder.identity(args.m)
     if args.sp:

@@ -9,6 +9,7 @@ across concurrent workers.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -32,6 +33,18 @@ class BudgetError(ReallotError):
 
 MIN_AGENTS = 3
 BRUTE_FORCE_MAX_AGENTS = 8
+
+# The work budget of sweeps and of ``reallot enum``, which loads no sweep
+# module; REALLOT_BUDGET overrides it.
+DEFAULT_BUDGET = 100_000_000
+BUDGET_ENV_VAR = "REALLOT_BUDGET"
+
+
+def _resolve_budget(budget: int | None) -> int:
+    if budget is not None:
+        return budget
+    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+
 
 # Domain-spec entries naming the two structured preference families.
 SINGLE_PEAKED = "sp"

@@ -3,8 +3,9 @@
 Recognition is one scan for a violating triple of houses, run for
 single-dippedness on the ranking read worst-to-best; a failure comes with
 that triple as a witness in the exact shape the counterexample builders
-consume. Enumeration is constructive (worst-to-best end picks over the
-order's interval), which gives the 2^(m-1) family members without
+consume. Enumeration is constructive: a best-first walk over the
+order's intervals, out from each peak for SP and in from both ends for
+SD, streams the 2^(m-1) family members in lexicographic order without
 touching the m! permutation space. A :class:`DomainSpec` is a tuple of
 Cartesian blocks, and ``_profiles`` generates its profiles.
 """
@@ -148,34 +149,93 @@ def _sp_from_mask(order: LinearOrder, mask: int) -> Preference:
     return Preference(tuple(worst_first))
 
 
-@functools.lru_cache(maxsize=None)
-def _sp_family(order: LinearOrder) -> tuple[Preference, ...]:
-    if order.n < 1:
-        raise ValueError("need at least one house")
-    prefs = [_sp_from_mask(order, mask) for mask in range(1 << max(order.n - 1, 0))]
-    prefs.sort(key=lambda p: p.ranking)
-    return tuple(prefs)
+def _lex_walk(m: int, roots, grow) -> Iterator[Preference]:
+    """Rankings built best first, one house per step, in lexicographic
+    order. A step takes one of at most two (house, lo, hi) choices: the
+    house and the interval of order positions the walk goes on from.
+    ``roots`` are the first step's choices and ``grow(lo, hi)`` the next
+    ones; trying the lower house first makes the depth-first walk meet the
+    rankings in lexicographic order."""
+    stack: list = []
 
+    def push(ranking, choices):
+        for h, lo, hi in sorted(choices, reverse=True):
+            stack.append((ranking + (h,), lo, hi))
 
-@functools.lru_cache(maxsize=None)
-def _sd_family(order: LinearOrder) -> tuple[Preference, ...]:
-    prefs = [p.reversed() for p in _sp_family(order)]
-    prefs.sort(key=lambda p: p.ranking)
-    return tuple(prefs)
+    push((), roots)
+    while stack:
+        ranking, lo, hi = stack.pop()
+        if len(ranking) == m:
+            yield Preference(ranking)
+        else:
+            push(ranking, grow(lo, hi))
 
 
 def enumerate_single_peaked(order: LinearOrder) -> Iterator[Preference]:
-    """All 2^(m-1) single-peaked preferences, lexicographic by ranking.
+    """All 2^(m-1) single-peaked preferences, lexicographic by ranking,
+    streamed: a walk out from each peak, the houses taken so far always
+    an interval of the order.
 
     >>> [p.ranking for p in enumerate_single_peaked(LinearOrder.identity(3))]
     [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)]
     """
-    yield from _sp_family(order)
+    m = order.n
+    if m < 1:
+        raise ValueError("need at least one house")
+    pos, by_rank = order.position, order.by_rank
+
+    def grow(lo, hi):
+        choices = []
+        if lo > 0:
+            choices.append((by_rank[lo - 1], lo - 1, hi))
+        if hi < m - 1:
+            choices.append((by_rank[hi + 1], lo, hi + 1))
+        return choices
+
+    yield from _lex_walk(m, [(h, pos[h], pos[h]) for h in range(m)], grow)
 
 
 def enumerate_single_dipped(order: LinearOrder) -> Iterator[Preference]:
-    """All 2^(m-1) single-dipped preferences, lexicographic by ranking."""
-    yield from _sd_family(order)
+    """All 2^(m-1) single-dipped preferences, lexicographic by ranking,
+    streamed: a walk in from both ends, the houses left always an interval
+    of the order."""
+    m = order.n
+    if m < 1:
+        raise ValueError("need at least one house")
+    by_rank = order.by_rank
+
+    def grow(lo, hi):
+        if lo == hi:
+            return [(by_rank[lo], lo + 1, hi)]
+        return [(by_rank[lo], lo + 1, hi), (by_rank[hi], lo, hi - 1)]
+
+    yield from _lex_walk(m, grow(0, m - 1), grow)
+
+
+@functools.lru_cache(maxsize=None)
+def _sp_family(order: LinearOrder) -> tuple[Preference, ...]:
+    return tuple(enumerate_single_peaked(order))
+
+
+@functools.lru_cache(maxsize=None)
+def _sd_family(order: LinearOrder) -> tuple[Preference, ...]:
+    return tuple(enumerate_single_dipped(order))
+
+
+def _family_exceeds(kind: str, m: int, cap: int) -> bool:
+    """Whether the ``kind`` family over m houses has more than ``cap``
+    preferences, decided without building one and without big numbers:
+    2^(m-1) by its exponent, m! by multiplying up only until the product
+    passes the cap."""
+    if kind != UNRESTRICTED:
+        k = max(m - 1, 0)
+        return k >= cap.bit_length() or 1 << k > cap
+    size = 1
+    for k in range(2, m + 1):
+        size *= k
+        if size > cap:
+            return True
+    return size > cap
 
 
 def enumerate_all_preferences(m: int) -> Iterator[Preference]:

@@ -267,7 +267,10 @@ def count_efficient(profile: Profile) -> tuple[int, int]:
 # prefers to house h. In an allocation where a holds h it is also the
 # successor set of h in the house-space envy digraph (h -> g when the
 # holder of h envies the holder of g), so that digraph needs no building:
-# ``succ[h]`` is one table lookup per house.
+# ``succ[h]`` is one table lookup per house. The enumeration runs the
+# Pareto test once per distinct digraph of one call: the answers live in a
+# dict local to the call, never across calls, so that a sweep's cost does
+# not depend on what ran before it.
 
 
 def _better_table(rankings: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -331,9 +334,15 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     prefix dies as soon as the newly placed agent and an earlier one envy
     each other: the candidates are the earlier houses the new agent
     prefers to its own, and each is tested against its holder's envy mask.
+
+    Both efficiencies of a leaf depend only on its house digraph, and most
+    leaves of one profile repeat a digraph an earlier leaf had, so the
+    cycle walk runs once per distinct ``succ`` and its answer is kept in a
+    dict that lives only as long as this call.
     """
     n = len(better)
     found: list[tuple[tuple[int, ...], bool]] = []
+    acyclic: dict[tuple[int, ...], bool] = {}
     assign = [0] * n
     succ = [0] * n
     full = (1 << n) - 1
@@ -358,7 +367,11 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
             assign[agent] = h
             succ[h] = row[h]
             if agent == last:
-                found.append((tuple(assign), _envy_cycle(succ) is None))
+                key = tuple(succ)
+                efficient = acyclic.get(key)
+                if efficient is None:
+                    efficient = acyclic[key] = _envy_cycle(succ) is None
+                found.append((tuple(assign), efficient))
             else:
                 place(agent + 1, free ^ bit)
 

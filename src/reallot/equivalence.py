@@ -20,14 +20,19 @@ import math
 import os
 from dataclasses import dataclass
 
+# The budget lives in core and is re-exported here, where the sweeps that
+# use it are.
 from .core import (
     BRUTE_FORCE_MAX_AGENTS,
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
     SINGLE_DIPPED,
     SINGLE_PEAKED,
     Allocation,
     BudgetError,
     Instance,
     Profile,
+    _resolve_budget,
 )
 from .domains import (
     DomainSpec,
@@ -47,9 +52,7 @@ from .efficiency import (
     apply_cycle,
     pareto_dominates,
 )
-# The sweep scope, the budget and the seeds live in scope.py; they are
-# re-exported here, where the sweeps that use them are.
-from .scope import BUDGET_ENV_VAR, DEFAULT_BUDGET, Scope, _resolve_budget, _trial_seeds
+from .scope import Scope, _trial_seeds
 
 @dataclass(frozen=True)
 class ImprovementWitness:
@@ -350,10 +353,19 @@ def _scan_random_task(args) -> tuple[int, int, list[Violation]]:
 ProcessPoolExecutor = None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, which
+    ``taskset`` or a cpuset shrinks below the host's count, where the
+    platform reports one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(task_fn, tasks, jobs: int):
-    # Never more workers than cores or tasks: a randomized sweep makes one
-    # task per trial when jobs is large.
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    # Never more workers than usable cores or tasks: a randomized sweep
+    # makes one task per trial when jobs is large.
+    workers = min(jobs, _usable_cpus(), len(tasks))
     if workers <= 1:
         return [task_fn(t) for t in tasks]
     pool_class = ProcessPoolExecutor

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Allocation, BudgetError, Instance, Preference, Profile
+from .core import Allocation, BudgetError, Instance, Preference, Profile, _resolve_budget
 from .domains import DomainSpec, _profiles
 # is_individually_rational sits with the other allocation checks and is
 # re-exported here.
 from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
-from .scope import Scope, _resolve_budget, _trial_seeds
+from .scope import Scope, _trial_seeds
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,16 @@
-"""How much of a domain a sweep covers, what it may spend, and the seeds
-of its sampled profiles.
+"""How much of a domain a sweep covers, and the seeds of its sampled
+profiles.
 
 Every sweep in the package (equivalence, strategy-proofness, the TTC
-corollary) takes a :class:`Scope` and refuses work beyond its budget, which
-defaults to ``DEFAULT_BUDGET`` and can be raised through ``REALLOT_BUDGET``.
+corollary) takes a :class:`Scope` and refuses work beyond its budget,
+``core.DEFAULT_BUDGET`` unless ``REALLOT_BUDGET`` raises it; the budget
+lives in ``core`` so that ``reallot enum`` can apply it too.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
-
-DEFAULT_BUDGET = 100_000_000
-BUDGET_ENV_VAR = "REALLOT_BUDGET"
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
 def _trial_seeds(seed: int | None, trials: int) -> list[int]:

@@ -379,6 +379,59 @@ def test_closed_output_pipe_exits_one_without_a_traceback():
     assert err == b""
 
 
+def _capped_enum(*args: str) -> subprocess.Popen:
+    """``reallot enum`` in a child whose address space is capped at 400 MB,
+    far below what listing a family of 2^26 or more would take."""
+    import resource
+
+    cap = 400 << 20
+    env = {k: v for k, v in os.environ.items() if k != "REALLOT_BUDGET"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "reallot.cli", "enum", *args],
+        env=dict(env, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+@pytest.mark.parametrize(
+    "args, size",
+    [(("--sp", "--m", "30"), "2^29"), (("--all", "--m", "1000000000000"), "1000000000000!")],
+)
+def test_enum_refuses_families_over_the_budget_before_building_them(args, size):
+    proc = _capped_enum(*args)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert out == b""
+    assert err == f"error: enum needs {size} preferences, budget is 100000000\n".encode()
+
+
+@pytest.mark.parametrize("family", ["--sp", "--sd"])
+def test_enum_streams_families_under_the_budget(family):
+    # 2^26 preferences fit the budget but not the cap: the first line must
+    # come out before the rest is built.
+    proc = _capped_enum(family, "--m", "27")
+    assert proc.stdout.readline() == " ".join(f"h{i}" for i in range(1, 28)).encode() + b"\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_enum_budget_follows_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("REALLOT_BUDGET", "7")
+    assert main(["enum", "--sp", "--m", "4"]) == 3
+    assert capsys.readouterr().err == "error: enum needs 2^3 preferences, budget is 7\n"
+    assert main(["enum", "--all", "--m", "4"]) == 3
+    assert capsys.readouterr().err == "error: enum needs 4! preferences, budget is 7\n"
+    assert main(["enum", "--sd", "--m", "3"]) == 0
+    assert capsys.readouterr().out == "h1 h2 h3\nh1 h3 h2\nh3 h1 h2\nh3 h2 h1\n"
+    assert main(["enum", "--all", "--m", "0"]) == 2
+    assert capsys.readouterr().err == "error: need at least one house\n"
+
+
 def test_synth_command_writes_expected_bundle(tmp_path, capsys):
     out_dir = tmp_path / "bundle"
     code = main(

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from reallot.core import Instance, LinearOrder, Preference, Profile
 from reallot.domains import (
     DomainSpec,
+    _family_exceeds,
     _profiles,
+    _sp_from_mask,
     enumerate_all_preferences,
     enumerate_single_dipped,
     enumerate_single_peaked,
@@ -70,6 +72,38 @@ def test_family_sizes_are_powers_of_two(m):
     sd = list(enumerate_single_dipped(order))
     assert len(sp) == len(set(sp)) == 2 ** max(m - 1, 0)
     assert len(sd) == len(set(sd)) == 2 ** max(m - 1, 0)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_family_walks_match_sorted_mask_families(m):
+    # The oracle builds each SP member from a bit mask of worst-to-best end
+    # picks and sorts; the walks must stream the same list, in the same
+    # lexicographic order, on shuffled orders.
+    rng = random.Random(m)
+    for _ in range(4):
+        order = LinearOrder(tuple(rng.sample(range(m), m)))
+        sp = sorted(
+            (_sp_from_mask(order, mask) for mask in range(2 ** max(m - 1, 0))),
+            key=lambda p: p.ranking,
+        )
+        sd = sorted((p.reversed() for p in sp), key=lambda p: p.ranking)
+        assert [p.ranking for p in enumerate_single_peaked(order)] == [p.ranking for p in sp]
+        assert [p.ranking for p in enumerate_single_dipped(order)] == [p.ranking for p in sd]
+
+
+def test_family_size_guard_never_builds_big_numbers():
+    cap = 100_000_000
+    for kind in ("sp", "sd"):
+        assert not _family_exceeds(kind, 27, cap)  # 2^26
+        assert _family_exceeds(kind, 28, cap)  # 2^27
+        assert _family_exceeds(kind, 10**12, cap)
+        assert not _family_exceeds(kind, 0, cap)
+        assert _family_exceeds(kind, 4, 7) and not _family_exceeds(kind, 4, 8)
+    assert not _family_exceeds("all", 11, cap)  # 39,916,800
+    assert _family_exceeds("all", 12, cap)
+    assert _family_exceeds("all", 10**12, cap)
+    assert not _family_exceeds("all", -3, cap)
+    assert _family_exceeds("all", 4, 23) and not _family_exceeds("all", 4, 24)
 
 
 @pytest.mark.parametrize("m", range(2, 6))

@@ -279,6 +279,67 @@ def test_pruned_enumeration_matches_the_flat_scan():
         assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
 
 
+def leaf_digraph(better, perm):
+    """The house digraph of an allocation: succ[h] = better[holder of h][h]."""
+    succ = [0] * len(perm)
+    for a, h in enumerate(perm):
+        succ[h] = better[a][h]
+    return tuple(succ)
+
+
+def repeat_profiles():
+    """Sampled unrestricted and alternating SP/SD profiles at n = 6 and 7,
+    where leaves of one profile share digraphs and some are cyclic."""
+    for n, count in ((6, 10), (7, 3)):
+        inst = Instance.default(n)
+        mixed = DomainSpec.parse(",".join(("sp", "sd")[a % 2] for a in range(n)), n)
+        for spec in (DomainSpec.unrestricted(n), mixed):
+            for seed in range(count):
+                yield sample_profile(spec, inst, 60 + seed)
+
+
+def test_memoised_leaf_test_matches_the_flat_scan_at_n6_and_n7():
+    repeated = cyclic = 0
+    for profile in repeat_profiles():
+        better = _better_table([p.ranking for p in profile.prefs])
+        found = _pair_efficient(better)
+        assert found == flat_pair_efficient(profile)
+        repeated += len(found) - len({leaf_digraph(better, perm) for perm, _ in found})
+        cyclic += sum(not efficient for _, efficient in found)
+    assert repeated > 300 and cyclic > 100
+
+
+def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
+    import reallot.efficiency as efficiency
+
+    walked = []
+
+    def spy(succ):
+        walked.append(tuple(succ))
+        return _envy_cycle(succ)
+
+    monkeypatch.setattr(efficiency, "_envy_cycle", spy)
+    for profile in repeat_profiles():
+        better = _better_table([p.ranking for p in profile.prefs])
+        for _ in range(2):  # no answer outlives its call
+            del walked[:]
+            found = _pair_efficient(better)
+            assert len(walked) == len(set(walked))
+            assert set(walked) == {leaf_digraph(better, perm) for perm, _ in found}
+
+    # One shared ranking: no pair blocks and every allocation has the same
+    # acyclic digraph, so n! Pareto-efficient leaves cost one walk.
+    n = 5
+    ranking = (2, 0, 4, 1, 3)
+    profile = Profile(Instance.default(n), (Preference(ranking),) * n)
+    del walked[:]
+    found = _pair_efficient(_better_table([ranking] * n))
+    assert found == [(perm, True) for perm in itertools.permutations(range(n))]
+    assert len(walked) == 1
+    assert count_efficient(profile) == (120, 120)
+    assert len(walked) == 2
+
+
 def test_envy_cycle_agrees_with_brute_force_on_every_allocation():
     for profile in kernel_profiles():
         better = _better_table([p.ranking for p in profile.prefs])

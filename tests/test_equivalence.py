@@ -474,13 +474,13 @@ def test_find_gap_witness_sampling_path():
     assert found is not None
 
 
-def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts that sweeps ask a pool for, recorded by a stand-in
+    for ProcessPoolExecutor that runs the tasks in this process."""
     sizes = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the worker count
-        asked for and runs the tasks in this process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -494,7 +494,12 @@ def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(equivalence, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(equivalence.os, "cpu_count", lambda: 4)
+    return sizes
+
+
+def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch, pool_sizes):
+    sizes = pool_sizes
+    monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert equivalence._run_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
     assert equivalence._run_tasks(abs, list(range(-9, 0)), 10_000) == list(range(9, 0, -1))
     assert equivalence._run_tasks(abs, [-1, -2], 1) == [1, 2]
@@ -506,6 +511,29 @@ def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):
     assert sizes[-1] == 4
     assert wide == verify_equivalence(spec, 3, scope, jobs=1)
 
-    monkeypatch.setattr(equivalence.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {5})
     assert equivalence._run_tasks(abs, [-1, -2], 8) == [1, 2]
     assert len(sizes) == 3
+
+
+def test_worker_count_follows_the_affinity_set_not_the_host(monkeypatch, pool_sizes):
+    sizes = pool_sizes
+    # A host of 64 CPUs of which this process may use two, as under taskset.
+    monkeypatch.setattr(equivalence.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {2, 3})
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 32) == list(range(9, 0, -1))
+    assert sizes == [2]
+    monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {7})
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 32) == list(range(9, 0, -1))
+    assert sizes == [2]
+
+    # Without an affinity call the host's count caps, and an unknown count
+    # runs serially.
+    monkeypatch.delattr(equivalence.os, "sched_getaffinity")
+    assert equivalence._usable_cpus() == 64
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 3) == list(range(9, 0, -1))
+    assert sizes == [2, 3]
+    monkeypatch.setattr(equivalence.os, "cpu_count", lambda: None)
+    assert equivalence._usable_cpus() == 1
+    assert equivalence._run_tasks(abs, [-1, -2], 8) == [1, 2]
+    assert sizes == [2, 3]
