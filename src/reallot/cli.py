@@ -233,6 +233,20 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+def _write(path: str, text: str | None = None):
+    # Without text, makes the directory ``path`` instead.
+    try:
+        if text is None:
+            os.makedirs(path, exist_ok=True)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_check(args) -> int:
@@ -365,15 +379,14 @@ def cmd_synth(args) -> int:
     print()
     print(render_profile_table(profile, bundle.mu, bundle.nu, color=sys.stdout.isatty()))
     print()
-    os.makedirs(args.out, exist_ok=True)
+    _write(args.out)
     for fname, text in (
         ("instance.txt", serialize_instance(profile)),
         ("mu.txt", serialize_allocation(inst, bundle.mu)),
         ("nu.txt", serialize_allocation(inst, bundle.nu)),
     ):
         path = os.path.join(args.out, fname)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text)
         print(f"wrote: {path}")
     return 0
 
@@ -385,8 +398,7 @@ def cmd_ttc(args) -> int:
     allocation = ttc(profile)
     text = serialize_allocation(profile.instance, allocation)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote: {args.out}")
     else:
         print(text, end="")

@@ -1,21 +1,14 @@
-"""Efficiency checkers: blocking pairs, improving trade cycles, and the
-brute-force domination oracle.
+"""Efficiency checkers: blocking pairs, improving trade cycles, the
+brute-force domination oracle and the witness rule.
 
-The production checkers ride on the envy digraph (edge a -> b when a
-strictly prefers b's assigned house): a 2-cycle is exactly a blocking
-pair, and any cycle is exactly an efficiency-improving trade. A digraph
-is held as successor masks, and ``_envy_cycle`` is the one cycle walk:
-``find_improving_cycle`` runs it over agents and the kernel over houses.
-The brute-force oracle stays a literal scan of all allocations so the two
-routes remain independent of each other; one walk of that scan answers
-every allocation a profile lists.
-
-The per-profile scans share one bitmask kernel: a pruned enumeration of
-the pair-efficient allocations, the cycle walk on the house-space envy
-digraph, and the one-pass check of the blocking-pair extraction claims.
-The per-allocation functions above it serve as the kernel's oracles; the
-walk they share is checked against a depth-first search kept in the
-tests and against the brute-force dominator.
+The checkers ride on the envy digraph (a -> b when a strictly prefers b's
+house), held as successor masks: a 2-cycle is a blocking pair and any
+cycle an improving trade. ``_envy_cycle`` is the one cycle walk, over
+agents in ``find_improving_cycle`` and over houses in the per-profile
+kernel; the brute-force oracle stays a literal scan, independent of it.
+``_trade_colors`` is the one witness rule, shared by the witnesses, the
+extractors and the kernel's extraction pass. The tests keep a depth-first
+search and a literal witness builder as their oracles.
 """
 
 from __future__ import annotations
@@ -267,10 +260,7 @@ def count_efficient(profile: Profile) -> tuple[int, int]:
 # prefers to house h. In an allocation where a holds h it is also the
 # successor set of h in the house-space envy digraph (h -> g when the
 # holder of h envies the holder of g), so that digraph needs no building:
-# ``succ[h]`` is one table lookup per house. The enumeration runs the
-# Pareto test once per distinct digraph of one call: the answers live in a
-# dict local to the call, never across calls, so that a sweep's cost does
-# not depend on what ran before it.
+# ``succ[h]`` is one table lookup per house.
 
 
 def _better_table(rankings: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -337,8 +327,9 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
 
     Both efficiencies of a leaf depend only on its house digraph, and most
     leaves of one profile repeat a digraph an earlier leaf had, so the
-    cycle walk runs once per distinct ``succ`` and its answer is kept in a
-    dict that lives only as long as this call.
+    cycle walk runs once per distinct ``succ``. The answers live in a dict
+    local to this call, so that a sweep's cost does not depend on what ran
+    before it.
     """
     n = len(better)
     found: list[tuple[tuple[int, ...], bool]] = []
@@ -379,31 +370,69 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     return found
 
 
-def _pair_slots(kind: str, colors: Sequence[str]) -> tuple[int, int]:
-    """Which two labels the extraction argument pairs up: the least
-    adjacent red/blue labels on single-peaked profiles, the extreme labels
-    b1 and bm on single-dipped ones."""
-    if kind != SINGLE_PEAKED:
-        return 0, len(colors) - 1
-    for i in range(len(colors) - 1):
-        if colors[i] == RED and colors[i + 1] == BLUE:
-            return i, i + 1
-    raise RuntimeError("no adjacent red/blue pair; witness coloring is broken")
+def _trade_colors(ranks, owner, dest, moved: Iterable[int]) -> tuple[list[int], list[str]]:
+    """The witness rule, on houses numbered by order position: ``ranks[a][p]``
+    is agent a's rank of the house at position p, ``owner[p]`` its holder
+    under mu, and the holder of each p in ``moved`` takes ``dest[p]``. The
+    trade must dominate, move no non-improver and close over the
+    improvers' houses. Returns the improvers' positions ascending (the
+    labels b1..bm) and their colours, red when a house moves rightward.
+    """
+    gave = got = strays = 0
+    for p in moved:
+        rank = ranks[owner[p]]
+        q = dest[p]
+        if rank[q] < rank[p]:
+            gave |= 1 << p
+            got |= 1 << q
+        elif rank[q] > rank[p]:
+            raise ValueError("nu does not Pareto-dominate mu at this profile")
+        elif q != p:
+            strays |= 1 << p
+    if not gave:
+        raise ValueError("nu does not Pareto-dominate mu at this profile")
+    if strays:
+        raise ValueError("a non-improving agent changed houses")
+    if gave != got:
+        raise ValueError("improving agents must trade houses among themselves")
+    slots = []
+    colors = []
+    while gave:
+        bit = gave & -gave
+        gave ^= bit
+        p = bit.bit_length() - 1
+        q = dest[p]
+        if q == p:
+            raise ValueError("an improving agent kept their house")
+        slots.append(p)
+        colors.append(RED if p < q else BLUE)
+    return slots, colors
+
+
+def _blocking_labels(kind: str, ranks, owner, slots: Sequence[int], colors: Sequence[str]) -> tuple[int, int]:
+    """The agents the extraction argument pairs up, checked to envy each
+    other: the least adjacent red/blue labels on single-peaked profiles,
+    the extreme labels b1 and bm on single-dipped ones."""
+    i, j = 0, len(colors) - 1
+    if kind == SINGLE_PEAKED:
+        for i in range(j):
+            if colors[i] == RED and colors[i + 1] == BLUE:
+                j = i + 1
+                break
+        else:
+            raise RuntimeError("no adjacent red/blue pair; witness coloring is broken")
+    p, q = slots[i], slots[j]
+    low, high = owner[p], owner[q]
+    if not (ranks[low][q] < ranks[low][p] and ranks[high][p] < ranks[high][q]):
+        raise RuntimeError("extracted pair is not mutually envious")
+    return low, high
 
 
 def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, int]:
-    """(dominated, validated) over all n! allocations of one profile whose
-    houses are numbered by their order position: ``ranks[a][p]`` is the
-    rank agent a gives the house at position p.
-
-    Each dominated allocation is traded along an envy cycle. In one pass,
-    on rank lookups rather than the masks that found the cycle, the trade
-    is checked to dominate, to move exactly the improvers and to close
-    over their houses. The improvers are then labelled by position and
-    coloured, the pair is picked by the extractors' rule, and both strict
-    comparisons are checked. Any failure raises, as the public witness
-    and extractor functions would.
-    """
+    """(dominated, validated) over all n! allocations of one profile, on
+    ``_trade_colors``'s rank rows. Each dominated allocation trades along
+    its envy cycle, which must pass the witness and pair rules on rank
+    lookups rather than the masks that found it; any failure raises."""
     n = len(ranks)
     better = _better_table([sorted(range(n), key=r.__getitem__) for r in ranks])
     by_house = [[row[p] for row in better] for p in range(n)]
@@ -414,34 +443,11 @@ def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, in
         if cycle is None:
             continue
         dominated += 1
-        k = len(cycle)
-        gave = got = 0
-        for i, p in enumerate(cycle):
-            q = cycle[i + 1 - k]
-            rank = ranks[owner[p]]
-            if rank[q] > rank[p]:
-                raise ValueError("nu does not Pareto-dominate mu at this profile")
-            if rank[q] == rank[p]:
-                raise ValueError("a non-improving agent changed houses")
-            gave |= 1 << p
-            got |= 1 << q
+        p = cycle[-1]
+        for q in cycle:
             dest[p] = q
-        if gave != got:
-            raise ValueError("improving agents must trade houses among themselves")
-        slots = []
-        colors = []
-        while gave:
-            bit = gave & -gave
-            gave ^= bit
-            p = bit.bit_length() - 1
-            if dest[p] == p:
-                raise ValueError("an improving agent kept their house")
-            slots.append(p)
-            colors.append(RED if p < dest[p] else BLUE)
-        i, j = _pair_slots(kind, colors)
-        p_low, p_high = slots[i], slots[j]
-        r_low, r_high = ranks[owner[p_low]], ranks[owner[p_high]]
-        if not (r_low[p_high] < r_low[p_low] and r_high[p_low] < r_high[p_high]):
-            raise RuntimeError("extracted pair is not mutually envious")
+            p = q
+        slots, colors = _trade_colors(ranks, owner, dest, cycle)
+        _blocking_labels(kind, ranks, owner, slots, colors)
         validated += 1
     return dominated, validated

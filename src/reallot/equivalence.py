@@ -1,16 +1,13 @@
-"""Machinery tying pair-efficiency to Pareto-efficiency on structured
-domains.
+"""Machinery tying pair-efficiency to Pareto-efficiency on structured domains.
 
-Given a dominated allocation, the witness labels the strictly improving
-agents b1..bm by the order position of their current houses and colors
-each red (house moves rightward) or blue (leftward). On an all-SP profile
-some adjacent red/blue pair envies each other; on an all-SD profile the
-two extremes b1 and bm do. The extractors materialize those pairs and
-re-verify both strict comparisons on every call.
-
-The verifier sweeps whole domains, checking that every pair-efficient
-allocation is Pareto-efficient, and reports any gap with a fully
-validated witness built from the brute-force oracle.
+The witness labels the agents a dominating allocation strictly improves
+b1..bm by the order position of their houses and colors each red (house
+moves rightward) or blue (leftward). On an all-SP profile some adjacent
+red/blue pair envies each other; on an all-SD profile b1 and bm do.
+Witnesses, extractors, gap certificates and extraction claims all run one
+integer rule, ``efficiency._trade_colors``. The verifier sweeps whole
+domains for pair-efficient allocations that are not Pareto-efficient and
+certifies each with the brute-force oracle's dominator.
 """
 
 from __future__ import annotations
@@ -19,6 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 # The budget lives in core and is re-exported here, where the sweeps that
 # use it are.
@@ -44,11 +42,12 @@ from .efficiency import (
     BLUE,
     RED,
     _better_table,
+    _blocking_labels,
     _blocking_pair_raw,
     _extraction_pass,
     _first_dominators,
     _pair_efficient,
-    _pair_slots,
+    _trade_colors,
     apply_cycle,
     pareto_dominates,
 )
@@ -87,6 +86,27 @@ class ImprovementWitness:
         return self.colors[self.labels.index(agent)]
 
 
+def _position_ranks(profile: Profile) -> list[tuple[int, ...]]:
+    """``ranks[a][p]``: the rank agent a gives the house at order position p."""
+    at = itemgetter(*profile.order.by_rank)
+    return [at(p.rank_of) for p in profile.prefs]
+
+
+def _witness(profile: Profile, ranks, mu: Allocation, nu: Allocation):
+    """(witness, owner, slots) for the trade from mu to nu, checked by
+    ``_trade_colors`` on ``_position_ranks`` rows: ``owner[p]`` holds
+    position p under mu, and ``slots`` are the labels' positions."""
+    n = profile.n
+    if nu.n != n or mu.n != n:
+        raise ValueError("allocation size does not match the profile")
+    pos = profile.order.position
+    owner = [mu.assign.index(h) for h in profile.order.by_rank]
+    dest = [pos[nu.assign[a]] for a in owner]
+    slots, colors = _trade_colors(ranks, owner, dest, range(n))
+    labels = tuple([owner[p] for p in slots])
+    return ImprovementWitness(nu, frozenset(labels), labels, tuple(colors)), owner, slots
+
+
 def build_witness(profile: Profile, mu: Allocation, nu: Allocation) -> ImprovementWitness:
     """Label and color the agents nu strictly improves over mu.
 
@@ -94,34 +114,7 @@ def build_witness(profile: Profile, mu: Allocation, nu: Allocation) -> Improveme
     must keep their houses, and mu and nu must shuffle the same houses
     within the improving set.
     """
-    if not pareto_dominates(profile, nu, mu):
-        raise ValueError("nu does not Pareto-dominate mu at this profile")
-    pos = profile.order.position
-    tilde = [
-        a
-        for a, pref in enumerate(profile.prefs)
-        if pref.rank_of[nu.assign[a]] < pref.rank_of[mu.assign[a]]
-    ]
-    tilde_set = frozenset(tilde)
-    for a in range(profile.n):
-        if a not in tilde_set and mu.assign[a] != nu.assign[a]:
-            raise ValueError("a non-improving agent changed houses")
-    mu_houses = {mu.assign[a] for a in tilde}
-    nu_houses = {nu.assign[a] for a in tilde}
-    if mu_houses != nu_houses:
-        raise ValueError("improving agents must trade houses among themselves")
-    labels = tuple(sorted(tilde, key=lambda a: pos[mu.assign[a]]))
-    colors = []
-    for b in labels:
-        if mu.assign[b] == nu.assign[b]:
-            raise ValueError("an improving agent kept their house")
-        colors.append(RED if pos[mu.assign[b]] < pos[nu.assign[b]] else BLUE)
-    return ImprovementWitness(nu, tilde_set, labels, tuple(colors))
-
-
-def _require_witness(profile: Profile, mu: Allocation, witness: ImprovementWitness):
-    if build_witness(profile, mu, witness.nu) != witness:
-        raise ValueError("witness does not match this profile and allocation")
+    return _witness(profile, _position_ranks(profile), mu, nu)[0]
 
 
 def _check_family(profile: Profile, kind: str):
@@ -133,19 +126,13 @@ def _check_family(profile: Profile, kind: str):
             raise ValueError(f"agent {a} is outside the {kind} family")
 
 
-def _extract_pair(
-    profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str
-) -> tuple[int, int]:
+def _extract_pair(profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str):
     _check_family(profile, kind)
-    _require_witness(profile, mu, witness)
-    i, j = _pair_slots(kind, witness.colors)
-    low, high = witness.labels[i], witness.labels[j]
-    if not (
-        profile.prefs[low].prefers(mu.assign[high], mu.assign[low])
-        and profile.prefs[high].prefers(mu.assign[low], mu.assign[high])
-    ):
-        raise RuntimeError("extracted pair is not mutually envious")
-    return low, high
+    ranks = _position_ranks(profile)
+    built, owner, slots = _witness(profile, ranks, mu, witness.nu)
+    if built != witness:
+        raise ValueError("witness does not match this profile and allocation")
+    return _blocking_labels(kind, ranks, owner, slots, built.colors)
 
 
 def extract_blocking_pair_sp(
@@ -194,19 +181,19 @@ def _gap_allocations(profile: Profile) -> list[tuple[int, ...]]:
 
 
 def _certified(profile: Profile, gaps) -> list[Violation]:
-    """One violation per gap allocation; the dominating partners come from
-    one walk of the brute-force oracle over all the gaps, independent of
-    the cycle checker that spotted them, and pair-efficiency is re-checked
-    per allocation."""
+    """One violation per gap allocation, its dominator from one walk of the
+    brute-force oracle over all the gaps, independent of the cycle checker
+    that spotted them; pair-efficiency is re-checked per allocation."""
     if not gaps:
         return []
     ranks = [p.rank_of for p in profile.prefs]
+    by_position = _position_ranks(profile)
     found: list[Violation] = []
     for assign, nu in zip(gaps, _first_dominators(profile.prefs, gaps)):
         if nu is None:
             raise RuntimeError("cycle checker and brute-force oracle disagree")
         mu = Allocation(assign)
-        witness = build_witness(profile, mu, Allocation(nu))
+        witness = _witness(profile, by_position, mu, Allocation(nu))[0]
         if _blocking_pair_raw(ranks, assign) is not None:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))
@@ -471,17 +458,11 @@ def find_gap_witness(
 
 
 def validate_extraction_claims(profile: Profile, kind: str) -> tuple[int, int]:
-    """Run the pair extraction over every dominated allocation of a profile.
-
-    For each dominated mu, a dominating nu is materialized by trading
-    along an improving cycle, the witness invariants are checked, the
-    pair is picked by the extractors' rule, and both strict comparisons
-    are re-verified with direct rank lookups. The family is checked once.
-    Returns (dominated, validated); anything short of equality raises.
-    """
+    """Run the pair extraction over every dominated allocation of a profile:
+    each is traded along an improving cycle and put through the witness
+    and extractor rules (``_extraction_pass``); the family is checked once.
+    Returns (dominated, validated); anything short of equality raises."""
     if kind not in (SINGLE_PEAKED, SINGLE_DIPPED):
         raise ValueError("kind must be 'sp' or 'sd'")
     _check_family(profile, kind)
-    by_position = profile.order.by_rank
-    ranks = [[p.rank_of[h] for h in by_position] for p in profile.prefs]
-    return _extraction_pass(ranks, kind)
+    return _extraction_pass(_position_ranks(profile), kind)

@@ -1,5 +1,6 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
-envy-graph, cycle-search and dominator oracles and the direct single-dipped
+envy-graph, cycle-search and dominator oracles, the literal witness,
+extractor and extraction-claim oracles and the direct single-dipped
 oracles."""
 
 import itertools
@@ -9,7 +10,9 @@ from dataclasses import dataclass
 import pytest
 
 from reallot.core import Allocation, Instance, LinearOrder, Preference, Profile
-from reallot.domains import NOT_SINGLE_DIPPED, ViolationWitness
+from reallot.domains import NOT_SINGLE_DIPPED, ViolationWitness, is_single_dipped, is_single_peaked
+from reallot.efficiency import BLUE, RED, apply_cycle, find_improving_cycle, pareto_dominates
+from reallot.equivalence import ImprovementWitness
 
 
 def pref(text: str) -> Preference:
@@ -157,6 +160,89 @@ def _first_dominator(ranks, assign):
         if ok and strict:
             return perm
     return None
+
+
+def witness_by_definition(profile: Profile, mu: Allocation, nu: Allocation) -> ImprovementWitness:
+    """Label and colour the agents nu strictly improves over mu, each check
+    on agents and house sets straight from the definition: the oracle for
+    ``build_witness``, which runs the integer rule ``_trade_colors`` on
+    order positions."""
+    if not pareto_dominates(profile, nu, mu):
+        raise ValueError("nu does not Pareto-dominate mu at this profile")
+    pos = profile.order.position
+    tilde = [
+        a
+        for a, pref in enumerate(profile.prefs)
+        if pref.rank_of[nu.assign[a]] < pref.rank_of[mu.assign[a]]
+    ]
+    tilde_set = frozenset(tilde)
+    for a in range(profile.n):
+        if a not in tilde_set and mu.assign[a] != nu.assign[a]:
+            raise ValueError("a non-improving agent changed houses")
+    mu_houses = {mu.assign[a] for a in tilde}
+    nu_houses = {nu.assign[a] for a in tilde}
+    if mu_houses != nu_houses:
+        raise ValueError("improving agents must trade houses among themselves")
+    labels = tuple(sorted(tilde, key=lambda a: pos[mu.assign[a]]))
+    colors = []
+    for b in labels:
+        if mu.assign[b] == nu.assign[b]:
+            raise ValueError("an improving agent kept their house")
+        colors.append(RED if pos[mu.assign[b]] < pos[nu.assign[b]] else BLUE)
+    return ImprovementWitness(nu, tilde_set, labels, tuple(colors))
+
+
+def _family_by_definition(profile: Profile, kind: str):
+    holds = is_single_peaked if kind == "sp" else is_single_dipped
+    for a, pref in enumerate(profile.prefs):
+        if not holds(pref, profile.order):
+            raise ValueError(f"agent {a} is outside the {kind} family")
+
+
+def pair_by_definition(
+    profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str
+) -> tuple[int, int]:
+    """The extractors' pair read off a witness rebuilt by
+    ``witness_by_definition``: the least adjacent red/blue labels for
+    ``kind`` 'sp', the extreme labels for 'sd', each agent checked to
+    prefer the other's mu-house with ``Preference.prefers``."""
+    _family_by_definition(profile, kind)
+    if witness_by_definition(profile, mu, witness.nu) != witness:
+        raise ValueError("witness does not match this profile and allocation")
+    colors = witness.colors
+    i, j = 0, len(colors) - 1
+    if kind == "sp":
+        pairs = [i for i in range(len(colors) - 1) if colors[i : i + 2] == (RED, BLUE)]
+        if not pairs:
+            raise RuntimeError("no adjacent red/blue pair; witness coloring is broken")
+        i, j = pairs[0], pairs[0] + 1
+    low, high = witness.labels[i], witness.labels[j]
+    if not (
+        profile.prefs[low].prefers(mu.assign[high], mu.assign[low])
+        and profile.prefs[high].prefers(mu.assign[low], mu.assign[high])
+    ):
+        raise RuntimeError("extracted pair is not mutually envious")
+    return low, high
+
+
+def extraction_claims_by_definition(profile: Profile, kind: str) -> tuple[int, int]:
+    """(dominated, validated) for ``validate_extraction_claims``: every
+    allocation with an improving cycle is traded along it and put through
+    the two oracles above."""
+    if kind not in ("sp", "sd"):
+        raise ValueError("kind must be 'sp' or 'sd'")
+    _family_by_definition(profile, kind)
+    dominated = validated = 0
+    for perm in itertools.permutations(range(profile.n)):
+        mu = Allocation(perm)
+        cycle = find_improving_cycle(profile, mu)
+        if cycle is None:
+            continue
+        dominated += 1
+        nu = apply_cycle(mu, cycle)
+        pair_by_definition(profile, mu, witness_by_definition(profile, mu, nu), kind)
+        validated += 1
+    return dominated, validated
 
 
 def single_dipped_by_scan(pref: Preference, order: LinearOrder) -> bool:

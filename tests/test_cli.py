@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reallot import equivalence
 from reallot.cli import (
@@ -14,7 +16,7 @@ from reallot.cli import (
     serialize_allocation,
     serialize_instance,
 )
-from reallot.core import Allocation, ParseError
+from reallot.core import Allocation, Instance, LinearOrder, ParseError, Preference, Profile
 
 from conftest import profile_from
 
@@ -111,6 +113,51 @@ def test_allocation_parse_errors(gap_example):
         parse_allocation("a1 -> h3\na2 -> h3\na3 -> h2\n", inst)
     with pytest.raises(ParseError):
         parse_allocation("a1 h3\n", inst)
+
+
+# Text near the formats' grammar reaches deeper into the parsers than
+# arbitrary text alone.
+TOKENS = ["order:", "endow:", "agent ", "a1", "a2", "a3", "h1", "h2", "h3", "h4", ":", "->", " ", "\n", "#", "x"]
+TEXT = st.one_of(st.text(max_size=80), st.lists(st.sampled_from(TOKENS), max_size=40).map("".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXT)
+def test_parsers_return_or_raise_parse_error_on_any_text(text):
+    inst = parse_instance(EXAMPLE_INSTANCE).instance
+    for parse in (parse_instance, lambda t: parse_allocation(t, inst)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+# Names are single tokens without the formats' separators.
+NAME = st.text(alphabet="abcxyzAB0123456789_.", min_size=1, max_size=4)
+
+
+@st.composite
+def named_profiles(draw):
+    n = draw(st.integers(3, 5))
+    agents = draw(st.lists(NAME, min_size=n, max_size=n, unique=True))
+    houses = draw(st.lists(NAME, min_size=n, max_size=n, unique=True))
+    endowment = draw(st.permutations(range(n)))
+    order = LinearOrder.from_left_to_right(draw(st.permutations(range(n))))
+    prefs = [Preference(tuple(draw(st.permutations(range(n))))) for _ in range(n)]
+    profile = Profile(Instance(tuple(agents), tuple(houses), tuple(endowment), order), tuple(prefs))
+    return profile, Allocation(tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_profiles())
+def test_serialize_parse_serialize_is_a_fixed_point(case):
+    profile, mu = case
+    text = serialize_instance(profile)
+    parsed = parse_instance(text)
+    assert serialize_instance(parsed) == text
+    alloc_text = serialize_allocation(profile.instance, mu)
+    again = parse_allocation(alloc_text, parsed.instance)
+    assert serialize_allocation(parsed.instance, again) == alloc_text
 
 
 def test_table_rendering(gap_example):
@@ -481,6 +528,41 @@ def test_ttc_command(example_files, tmp_path, capsys):
     assert main(["ttc", str(instance), "--out", str(out_file)]) == 0
     capsys.readouterr()
     assert out_file.read_text() == EXAMPLE_NU
+
+
+def _cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "reallot.cli", *args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_unwritable_outputs_exit_two_without_a_traceback(example_files, tmp_path):
+    instance, _, _ = example_files
+    missing = tmp_path / "missing" / "x.txt"
+    ttc = _cli("ttc", str(instance), "--out", str(missing))
+    synth = _cli("synth", "--mode", "sp", "--pref", "h1 h3 h2", "--out", str(instance))
+    for done, path, reason in (
+        (ttc, missing, "No such file or directory"),
+        (synth, instance, "File exists"),
+    ):
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: cannot write {path}: {reason}\n"
+    assert not missing.parent.exists()
+    assert instance.read_text() == EXAMPLE_INSTANCE
+
+
+def test_files_that_are_not_utf8_are_named_in_one_error_line(example_files, tmp_path, capsys):
+    instance, _, _ = example_files
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"order: h1 h2 h3\n\xff\xfe\n")
+    assert main(["count", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
+    assert main(["check", str(instance), str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
 
 
 def test_count_command(example_files, capsys):
