@@ -327,7 +327,6 @@ def _natural_key(name: str):
 def cmd_synth(args) -> int:
     from .construct import build_sd_counterexample, build_sp_counterexample
     from .domains import is_single_dipped, is_single_peaked
-    from .efficiency import find_blocking_pair, find_improving_cycle
 
     tokens = args.pref.split()
     if args.order is not None:
@@ -356,6 +355,8 @@ def cmd_synth(args) -> int:
         bundle = build_sd_counterexample(order, pref, seed=args.seed)
 
     # Rebuild the profile over the user's house names; agents stay a1..an.
+    # The rankings and order are the bundle's, which the builder has
+    # already machine-checked.
     inst = Instance(
         bundle.profile.instance.agents,
         tuple(universe),
@@ -364,11 +365,16 @@ def cmd_synth(args) -> int:
     )
     profile = Profile(inst, bundle.profile.prefs)
 
-    # Re-validate before anything is written.
-    if find_blocking_pair(profile, bundle.mu) is not None or find_improving_cycle(
-        profile, bundle.mu
-    ) is None:
-        raise RuntimeError("bundle failed re-validation")
+    # Every file is written before anything is printed, so a failed write
+    # leaves stdout empty.
+    files = {
+        os.path.join(args.out, "instance.txt"): serialize_instance(profile),
+        os.path.join(args.out, "mu.txt"): serialize_allocation(inst, bundle.mu),
+        os.path.join(args.out, "nu.txt"): serialize_allocation(inst, bundle.nu),
+    }
+    _write(args.out)
+    for path, text in files.items():
+        _write(path, text)
 
     a, ap, at = bundle.roles
     h, hp, ht = bundle.witness_triple
@@ -379,14 +385,7 @@ def cmd_synth(args) -> int:
     print()
     print(render_profile_table(profile, bundle.mu, bundle.nu, color=sys.stdout.isatty()))
     print()
-    _write(args.out)
-    for fname, text in (
-        ("instance.txt", serialize_instance(profile)),
-        ("mu.txt", serialize_allocation(inst, bundle.mu)),
-        ("nu.txt", serialize_allocation(inst, bundle.nu)),
-    ):
-        path = os.path.join(args.out, fname)
-        _write(path, text)
+    for path in files:
         print(f"wrote: {path}")
     return 0
 

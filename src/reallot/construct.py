@@ -13,10 +13,12 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Allocation, Instance, LinearOrder, Preference, Profile
 from .domains import (
+    NOT_SINGLE_PEAKED,
+    ViolationWitness,
     is_single_dipped,
     is_single_peaked,
     monotone_decreasing,
@@ -115,29 +117,47 @@ def _resolve_roles_and_beta(
 
 def _assemble(
     order: LinearOrder,
-    prefs_by_agent: dict[int, Preference],
+    pref: Preference,
+    witness: ViolationWitness,
     roles: tuple[int, int, int],
     beta_pairs: tuple[tuple[int, int], ...],
-    witness: tuple[int, int, int],
-    mu_map: dict[int, int],
-    nu_map: dict[int, int],
+    helpers: tuple[Preference, Preference],
+    filler: Callable[[int], Preference],
+    nu_trio: tuple[int, int, int],
     case: int | None,
 ) -> CounterexampleBundle:
+    """The tail both constructions share. Agent a keeps the offending
+    ``pref`` and a', a~ get ``helpers``; mu hands a, a', a~ the houses h~,
+    h, h' and nu hands them ``nu_trio``; each filler agent gets
+    ``filler(house)`` and its filler house under both."""
     n = order.n
-    instance = Instance.default(n, order)
-    profile = Profile(instance, tuple(prefs_by_agent[a] for a in range(n)))
+    h, hp, ht = witness.pivot, witness.middle, witness.far
+    prefs = dict(zip(roles, (pref, *helpers)))
+    mu_map = dict(zip(roles, (ht, h, hp)))
+    nu_map = dict(zip(roles, nu_trio))
+    for agent, house in beta_pairs:
+        prefs[agent] = filler(house)
+        mu_map[agent] = nu_map[agent] = house
+    profile = Profile(Instance.default(n, order), tuple(prefs[a] for a in range(n)))
     mu = Allocation(tuple(mu_map[a] for a in range(n)))
     nu = Allocation(tuple(nu_map[a] for a in range(n)))
-    bundle = CounterexampleBundle(profile, mu, nu, roles, beta_pairs, witness, case)
     # Machine checks: the bundle is only returned once both halves of the
-    # gap are confirmed by the efficiency module.
+    # gap are confirmed by the efficiency module and every helper lies in
+    # the family the witness names.
     if find_blocking_pair(profile, mu) is not None:
         raise RuntimeError("synthesized allocation is not pair-efficient")
     if not pareto_dominates(profile, nu, mu):
         raise RuntimeError("synthesized dominator does not dominate")
     if find_improving_cycle(profile, mu) is None:
         raise RuntimeError("synthesized allocation has no improving cycle")
-    return bundle
+    if witness.kind == NOT_SINGLE_PEAKED:
+        family, member = "single-peaked", is_single_peaked
+    else:
+        family, member = "single-dipped", is_single_dipped
+    for agent in range(n):
+        if agent != roles[0] and not member(profile.prefs[agent], order):
+            raise RuntimeError(f"helper preference fell outside the {family} family")
+    return CounterexampleBundle(profile, mu, nu, roles, beta_pairs, (h, hp, ht), case)
 
 
 def build_sp_counterexample(
@@ -155,41 +175,16 @@ def build_sp_counterexample(
     else gets a single-peaked preference peaking at their filler house,
     which mu hands straight to them.
     """
-    n = order.n
     witness = single_peaked_violation(pref, order)
     if witness is None:
         raise ValueError("preference is single-peaked")
     h, hp, ht = witness.pivot, witness.middle, witness.far
-    roles, beta_pairs = _resolve_roles_and_beta(n, roles, beta, seed, (h, hp, ht))
-    a, a_prime, a_tilde = roles
-
-    prefs: dict[int, Preference] = {a: pref}
-    prefs[a_prime] = complete_sp(order, [(hp, h), (h, ht)])
-    prefs[a_tilde] = complete_sp(order, [(ht, hp), (hp, h)])
-    for agent, house in beta_pairs:
-        prefs[agent] = complete_sp(order, [], peak_hint=house)
-
-    mu = {a: ht, a_prime: h, a_tilde: hp}
-    nu = {a: h, a_prime: hp, a_tilde: ht}
-    for agent, house in beta_pairs:
-        mu[agent] = house
-        nu[agent] = house
-    bundle = _assemble(order, prefs, roles, beta_pairs, (h, hp, ht), mu, nu, None)
-    for agent in range(n):
-        if agent != a and not is_single_peaked(bundle.profile.prefs[agent], order):
-            raise RuntimeError("helper preference fell outside the single-peaked family")
-    return bundle
-
-
-def _sd_block_pref(
-    order: LinearOrder, dip: int, first_block: Sequence[int], second_block: Sequence[int], middle: Sequence[int]
-) -> Preference:
-    # Blocks are fixed; inside the middle block houses fall off by
-    # distance from the dip (ties broken toward the order's left) so the
-    # result is single-dipped with the requested dip.
-    pos = order.position
-    mid_sorted = sorted(middle, key=lambda x: (-abs(pos[x] - pos[dip]), pos[x]))
-    return Preference(tuple(list(first_block) + list(second_block) + mid_sorted))
+    roles, beta_pairs = _resolve_roles_and_beta(order.n, roles, beta, seed, (h, hp, ht))
+    helpers = (complete_sp(order, [(hp, h), (h, ht)]), complete_sp(order, [(ht, hp), (hp, h)]))
+    return _assemble(
+        order, pref, witness, roles, beta_pairs, helpers,
+        lambda house: complete_sp(order, [], peak_hint=house), (h, hp, ht), None,
+    )
 
 
 def build_sd_counterexample(
@@ -206,49 +201,26 @@ def build_sd_counterexample(
     the dip sits. Helpers get the two monotone rankings or a block-built
     single-dipped preference dipping at the middle house.
     """
-    n = order.n
     witness = single_dipped_violation(pref, order)
     if witness is None:
         raise ValueError("preference is single-dipped")
     h, hp, ht = witness.pivot, witness.middle, witness.far
-    roles, beta_pairs = _resolve_roles_and_beta(n, roles, beta, seed, (h, hp, ht))
-    a, a_prime, a_tilde = roles
-
-    pos = order.position
+    roles, beta_pairs = _resolve_roles_and_beta(order.n, roles, beta, seed, (h, hp, ht))
+    pos, by_rank = order.position, order.by_rank
     increasing = monotone_increasing(order)
     decreasing = monotone_decreasing(order)
+    # Case 1 has the dip h left of h' and h~, case 2 right of them. a'
+    # ranks the outer block holding h~ first, then the other outer block,
+    # each from the order's end inward, then the houses strictly between
+    # h and h~ by falling distance from h' (ties toward the order's left),
+    # so it is single-dipped at h'.
     case = 1 if witness.side == "right" else 2
-
-    if case == 1:
-        # dip of pref left of middle left of far.
-        lower = [x for x in range(n) if pos[x] <= pos[h]]
-        mid = [x for x in range(n) if pos[h] < pos[x] < pos[ht]]
-        upper = [x for x in range(n) if pos[x] >= pos[ht]]
-        upper.sort(key=lambda x: -pos[x])
-        lower.sort(key=lambda x: pos[x])
-        p3 = _sd_block_pref(order, hp, upper, lower, mid)
-        helper_tilde = increasing
-    else:
-        # far left of middle left of dip.
-        lower = [x for x in range(n) if pos[x] <= pos[ht]]
-        mid = [x for x in range(n) if pos[ht] < pos[x] < pos[h]]
-        upper = [x for x in range(n) if pos[x] >= pos[h]]
-        lower.sort(key=lambda x: pos[x])
-        upper.sort(key=lambda x: -pos[x])
-        p3 = _sd_block_pref(order, hp, lower, upper, mid)
-        helper_tilde = decreasing
-
-    prefs: dict[int, Preference] = {a: pref, a_prime: p3, a_tilde: helper_tilde}
-    for agent, house in beta_pairs:
-        prefs[agent] = increasing if pos[house] < pos[ht] else decreasing
-
-    mu = {a: ht, a_prime: h, a_tilde: hp}
-    nu = {a: hp, a_prime: ht, a_tilde: h}
-    for agent, house in beta_pairs:
-        mu[agent] = house
-        nu[agent] = house
-    bundle = _assemble(order, prefs, roles, beta_pairs, (h, hp, ht), mu, nu, case)
-    for agent in range(n):
-        if agent != a and not is_single_dipped(bundle.profile.prefs[agent], order):
-            raise RuntimeError("helper preference fell outside the single-dipped family")
-    return bundle
+    lo, hi = sorted((pos[h], pos[ht]))
+    left, right = by_rank[: lo + 1], by_rank[hi:][::-1]
+    middle = sorted(by_rank[lo + 1 : hi], key=lambda x: (-abs(pos[x] - pos[hp]), pos[x]))
+    outer = right + left if case == 1 else left + right
+    helpers = (Preference(outer + tuple(middle)), increasing if case == 1 else decreasing)
+    return _assemble(
+        order, pref, witness, roles, beta_pairs, helpers,
+        lambda house: increasing if pos[house] < pos[ht] else decreasing, (hp, ht, h), case,
+    )

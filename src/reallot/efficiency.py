@@ -374,11 +374,12 @@ def _trade_colors(ranks, owner, dest, moved: Iterable[int]) -> tuple[list[int], 
     """The witness rule, on houses numbered by order position: ``ranks[a][p]``
     is agent a's rank of the house at position p, ``owner[p]`` its holder
     under mu, and the holder of each p in ``moved`` takes ``dest[p]``. The
-    trade must dominate, move no non-improver and close over the
-    improvers' houses. Returns the improvers' positions ascending (the
-    labels b1..bm) and their colours, red when a house moves rightward.
+    trade must dominate and close over the improvers' houses; rank rows are
+    permutations, so an equal rank means the same house and a better one
+    another house. Returns the improvers' positions ascending (the labels
+    b1..bm) and their colours, red when a house moves rightward.
     """
-    gave = got = strays = 0
+    gave = got = 0
     for p in moved:
         rank = ranks[owner[p]]
         q = dest[p]
@@ -387,12 +388,8 @@ def _trade_colors(ranks, owner, dest, moved: Iterable[int]) -> tuple[list[int], 
             got |= 1 << q
         elif rank[q] > rank[p]:
             raise ValueError("nu does not Pareto-dominate mu at this profile")
-        elif q != p:
-            strays |= 1 << p
     if not gave:
         raise ValueError("nu does not Pareto-dominate mu at this profile")
-    if strays:
-        raise ValueError("a non-improving agent changed houses")
     if gave != got:
         raise ValueError("improving agents must trade houses among themselves")
     slots = []
@@ -401,11 +398,8 @@ def _trade_colors(ranks, owner, dest, moved: Iterable[int]) -> tuple[list[int], 
         bit = gave & -gave
         gave ^= bit
         p = bit.bit_length() - 1
-        q = dest[p]
-        if q == p:
-            raise ValueError("an improving agent kept their house")
         slots.append(p)
-        colors.append(RED if p < q else BLUE)
+        colors.append(RED if p < dest[p] else BLUE)
     return slots, colors
 
 

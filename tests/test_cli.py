@@ -1,6 +1,9 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from reallot.cli import (
     serialize_instance,
 )
 from reallot.core import Allocation, Instance, LinearOrder, ParseError, Preference, Profile
+from reallot.efficiency import find_blocking_pair, find_improving_cycle, pareto_dominates
 
 from conftest import profile_from
 
@@ -518,6 +522,51 @@ def test_synth_argument_validation(capsys):
     assert main(["synth", "--mode", "sp", "--pref", "h1 h3 h2", "--n", "4"]) == 2
     assert main(["synth", "--mode", "sp", "--pref", "h1 h3 h2", "--order", "h1 h2"]) == 2
     capsys.readouterr()
+
+
+# House names that collide with the file formats' separators and keywords.
+HOSTILE_NAME = st.one_of(
+    st.sampled_from(["x:y", "a->b", "#c", "endow:", "order:", "agent", "->", ":"]), NAME
+)
+
+
+@st.composite
+def synth_argv(draw):
+    houses = draw(st.lists(HOSTILE_NAME, min_size=1, max_size=6, unique=True))
+    argv = ["synth", "--mode", draw(st.sampled_from(["sp", "sd"]))]
+    argv.append("--pref=" + " ".join(draw(st.permutations(houses))))
+    if draw(st.booleans()):
+        argv.append("--order=" + " ".join(draw(st.permutations(houses))))
+    seed = draw(st.none() | st.integers(0, 1000))
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    # A fresh directory, a nested one, an existing one, or an existing file.
+    return argv, draw(st.sampled_from(["out", "a/b", ".", "taken.txt"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(synth_argv())
+def test_synth_fuzz_exits_cleanly_and_writes_a_checked_bundle(case):
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "taken.txt").write_text("not a directory\n")
+        target = os.path.join(tmp, out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", target])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert stdout.getvalue() == ""
+            return
+        profile = parse_instance(Path(target, "instance.txt").read_text(encoding="utf-8"))
+        mu, nu = (
+            parse_allocation(Path(target, name).read_text(encoding="utf-8"), profile.instance)
+            for name in ("mu.txt", "nu.txt")
+        )
+    assert find_blocking_pair(profile, mu) is None
+    assert find_improving_cycle(profile, mu) is not None
+    assert pareto_dominates(profile, nu, mu)
 
 
 def test_ttc_command(example_files, tmp_path, capsys):

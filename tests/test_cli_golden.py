@@ -93,6 +93,7 @@ CASES = [
     ["synth", "--mode", "sp", "--pref", "h2 h1 h3", "--out", "none"],
     ["synth", "--mode", "sd", "--pref", "h1 h2 h3", "--order", "h1 h2 h4", "--out", "none"],
     ["synth", "--mode", "sd", "--pref", "h2 h3 h1", "--n", "4", "--out", "none"],
+    ["synth", "--mode", "sp", "--pref", "h1 h3 h2", "--out", "gap.txt"],
     [],
     ["bogus"],
     ["check", "gap.txt"],
