@@ -237,15 +237,40 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
 
-def _write(path: str, text: str | None = None):
-    # Without text, makes the directory ``path`` instead.
+def _write(path: str, text: str):
     try:
-        if text is None:
-            os.makedirs(path, exist_ok=True)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_all(folder: str, files: dict[str, str]):
+    """Make the directory ``folder`` and write every named file in it, or
+    none: each text goes to a temporary file beside its path, and the
+    temporaries are renamed into place only once all are written. A failure
+    removes the temporaries and the files already renamed."""
+    path = folder
+    staged: list[str] = []
+    placed: list[str] = []
+    try:
+        os.makedirs(folder, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(folder, name)
+            temp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+            with open(temp, "w", encoding="utf-8") as fh:
+                staged.append(temp)
+                fh.write(text)
+        for temp, name in zip(staged, files):
+            path = os.path.join(folder, name)
+            os.replace(temp, path)
+            placed.append(path)
+    except OSError as exc:
+        for left in staged + placed:
+            try:
+                os.remove(left)
+            except OSError:
+                pass
         raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
 
 
@@ -365,16 +390,14 @@ def cmd_synth(args) -> int:
     )
     profile = Profile(inst, bundle.profile.prefs)
 
-    # Every file is written before anything is printed, so a failed write
-    # leaves stdout empty.
+    # The three files are written, all or none, before anything is
+    # printed, so a failed write leaves stdout empty and no partial bundle.
     files = {
-        os.path.join(args.out, "instance.txt"): serialize_instance(profile),
-        os.path.join(args.out, "mu.txt"): serialize_allocation(inst, bundle.mu),
-        os.path.join(args.out, "nu.txt"): serialize_allocation(inst, bundle.nu),
+        "instance.txt": serialize_instance(profile),
+        "mu.txt": serialize_allocation(inst, bundle.mu),
+        "nu.txt": serialize_allocation(inst, bundle.nu),
     }
-    _write(args.out)
-    for path, text in files.items():
-        _write(path, text)
+    _write_all(args.out, files)
 
     a, ap, at = bundle.roles
     h, hp, ht = bundle.witness_triple
@@ -385,8 +408,8 @@ def cmd_synth(args) -> int:
     print()
     print(render_profile_table(profile, bundle.mu, bundle.nu, color=sys.stdout.isatty()))
     print()
-    for path in files:
-        print(f"wrote: {path}")
+    for name in files:
+        print(f"wrote: {os.path.join(args.out, name)}")
     return 0
 
 

@@ -6,14 +6,19 @@ house), held as successor masks: a 2-cycle is a blocking pair and any
 cycle an improving trade. ``_envy_cycle`` is the one cycle walk, over
 agents in ``find_improving_cycle`` and over houses in the per-profile
 kernel; the brute-force oracle stays a literal scan, independent of it.
+The walk can pause before a node whose successors are not yet known, so
+the extraction pass places a house's holder only when the walk reaches
+it and checks one cycle for every allocation that completes it.
 ``_trade_colors`` is the one witness rule, shared by the witnesses, the
-extractors and the kernel's extraction pass. The tests keep a depth-first
-search and a literal witness builder as their oracles.
+extractors and the extraction pass. The tests keep a depth-first search,
+a literal witness builder and the per-permutation extraction pass as
+their oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -276,7 +281,9 @@ def _better_table(rankings: Sequence[Sequence[int]]) -> list[list[int]]:
     return table
 
 
-def _envy_cycle(succ: Sequence[int]) -> list[int] | None:
+def _envy_cycle(
+    succ: Sequence[int], known: int = -1, state: list | None = None
+) -> list[int] | int | None:
     """A cycle v1 -> v2 -> ... -> vk -> v1 of the digraph given by successor
     masks, or None when it is acyclic; the nodes are houses in the kernel
     and agents in ``find_improving_cycle``.
@@ -287,31 +294,47 @@ def _envy_cycle(succ: Sequence[int]) -> list[int] | None:
     already on it has closed a cycle; a graph peeled to nothing is
     acyclic. A peeled sink is a node that depth-first search in ascending
     order has finished, so the cycle is the first one that search meets.
-    Every step but the last pushes or peels a node, so the test ends
-    within 2n + 1 steps.
+    Every step pushes, peels or closes, so the test ends within 2n + 1
+    steps.
+
+    The walk reads ``succ`` only at nodes it has pushed, so it can start
+    before the whole digraph is known. Given ``state``, a list ``[live,
+    path, on_path]`` to start from, it stops before pushing a node outside
+    the mask ``known``: it writes its position back into ``state`` (the
+    path in place) and returns that node. The caller fills the node's
+    successors and resumes from the state with the node added to
+    ``known``; a resumed walk takes the steps the one-shot walk takes.
     """
-    live = (1 << len(succ)) - 1
-    path: list[int] = []
-    on_path = 0
+    if state is None:
+        live = (1 << len(succ)) - 1
+        path: list[int] = []
+        seen = 0
+    else:
+        live, path, seen = state
+        seen |= live & ~known
+    # ``seen`` marks the path and the nodes not yet known: a step into it
+    # closes a cycle or pauses the walk.
     while live:
-        if not path:
-            start = live & -live
-            path.append(start.bit_length() - 1)
-            on_path |= start
-        here = path[-1]
-        out = succ[here] & live
-        if not out:
-            path.pop()
-            gone = 1 << here
-            on_path ^= gone
-            live ^= gone
-            continue
-        step = out & -out
-        nxt = step.bit_length() - 1
-        if on_path & step:
-            return path[path.index(nxt) :]
-        path.append(nxt)
-        on_path |= step
+        if path:
+            here = path[-1]
+            out = succ[here] & live
+            if not out:
+                path.pop()
+                gone = 1 << here
+                seen ^= gone
+                live ^= gone
+                continue
+            step = out & -out
+        else:
+            step = live & -live
+        if seen & step:
+            if known & step:
+                return path[path.index(step.bit_length() - 1) :]
+            state[0] = live
+            state[2] = seen & known
+            return step.bit_length() - 1
+        path.append(step.bit_length() - 1)
+        seen |= step
     return None
 
 
@@ -426,22 +449,54 @@ def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, in
     """(dominated, validated) over all n! allocations of one profile, on
     ``_trade_colors``'s rank rows. Each dominated allocation trades along
     its envy cycle, which must pass the witness and pair rules on rank
-    lookups rather than the masks that found it; any failure raises."""
+    lookups rather than the masks that found it; any failure raises.
+
+    A position gets its holder only when the cycle walk first pushes it,
+    each free agent in turn. The walk reads successors only at the
+    positions it pushed and the two rules read holders only on the cycle,
+    so once the walk closes a cycle every completion of the unplaced
+    positions has that cycle and that outcome: one check stands for
+    (n - placed)! dominated allocations. A walk that peels every position
+    has placed them all and found one efficient allocation.
+    """
     n = len(ranks)
     better = _better_table([sorted(range(n), key=r.__getitem__) for r in ranks])
     by_house = [[row[p] for row in better] for p in range(n)]
+    full = (1 << n) - 1
+    owner = list(range(n))  # the unplaced positions hold the free agents
+    succ = [0] * n
     dest = [0] * n
-    dominated = validated = 0
-    for owner in itertools.permutations(range(n)):
-        cycle = _envy_cycle(list(map(list.__getitem__, by_house, owner)))
-        if cycle is None:
-            continue
-        dominated += 1
-        p = cycle[-1]
-        for q in cycle:
-            dest[p] = q
-            p = q
-        slots, colors = _trade_colors(ranks, owner, dest, cycle)
-        _blocking_labels(kind, ranks, owner, slots, colors)
-        validated += 1
-    return dominated, validated
+    dominated = 0
+
+    def place(p: int, known: int, state: list):
+        # The walk paused before pushing position p. Give p each free agent
+        # in turn (q runs over p and the other unplaced positions, whose
+        # holders are the free agents), resume the walk, restore ``owner``.
+        nonlocal dominated
+        live, path, on_path = state
+        row = by_house[p]
+        free = full ^ known
+        known |= 1 << p
+        completions = math.factorial(n - known.bit_count())
+        while free:
+            bit = free & -free
+            free ^= bit
+            q = bit.bit_length() - 1
+            owner[p], owner[q] = owner[q], owner[p]
+            succ[p] = row[owner[p]]
+            resumed = [live, path[:], on_path]
+            got = _envy_cycle(succ, known, resumed)
+            if type(got) is int:
+                place(got, known, resumed)
+            elif got is not None:
+                last = got[-1]
+                for nxt in got:
+                    dest[last] = nxt
+                    last = nxt
+                slots, colors = _trade_colors(ranks, owner, dest, got)
+                _blocking_labels(kind, ranks, owner, slots, colors)
+                dominated += completions
+            owner[p], owner[q] = owner[q], owner[p]
+
+    place(0, 0, [full, [], 0])  # a walk with nothing known pauses at position 0
+    return dominated, dominated  # a failed check raises, so all are validated

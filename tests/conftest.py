@@ -1,7 +1,7 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
-envy-graph, cycle-search and dominator oracles, the literal witness,
-extractor and extraction-claim oracles and the direct single-dipped
-oracles."""
+envy-graph, cycle-search and dominator oracles, the paused-walk helper,
+the literal witness, extractor and extraction-claim oracles, the
+per-permutation extraction pass and the direct single-dipped oracles."""
 
 import itertools
 from collections import deque
@@ -11,7 +11,17 @@ import pytest
 
 from reallot.core import Allocation, Instance, LinearOrder, Preference, Profile
 from reallot.domains import NOT_SINGLE_DIPPED, ViolationWitness, is_single_dipped, is_single_peaked
-from reallot.efficiency import BLUE, RED, apply_cycle, find_improving_cycle, pareto_dominates
+from reallot.efficiency import (
+    BLUE,
+    RED,
+    _better_table,
+    _blocking_labels,
+    _envy_cycle,
+    _trade_colors,
+    apply_cycle,
+    find_improving_cycle,
+    pareto_dominates,
+)
 from reallot.equivalence import ImprovementWitness
 
 
@@ -99,6 +109,23 @@ def _first_cycle(succ):
                 state[done] = 2
                 path.pop()
     return None
+
+
+def paused_walk(succ, known, junk):
+    """Run ``_envy_cycle`` on a copy of the masks ``succ`` in which every
+    node outside ``known`` holds ``junk``, filling a node with its real
+    mask only when the walk pauses before pushing it, then resuming.
+    Returns (what the walk returned, the nodes it paused at in order)."""
+    partial = [s if known >> v & 1 else junk for v, s in enumerate(succ)]
+    state = [(1 << len(succ)) - 1, [], 0]
+    paused = []
+    while True:
+        got = _envy_cycle(partial, known, state)
+        if type(got) is not int:
+            return got, paused
+        paused.append(got)
+        partial[got] = succ[got]
+        known |= 1 << got
 
 
 def _shortest_cycle(succ):
@@ -241,6 +268,32 @@ def extraction_claims_by_definition(profile: Profile, kind: str) -> tuple[int, i
         dominated += 1
         nu = apply_cycle(mu, cycle)
         pair_by_definition(profile, mu, witness_by_definition(profile, mu, nu), kind)
+        validated += 1
+    return dominated, validated
+
+
+def extraction_pass_by_permutation(ranks, kind: str) -> tuple[int, int]:
+    """(dominated, validated) with one whole ``_envy_cycle`` walk per owner
+    permutation and both rules run on every dominated one: the oracle for
+    ``efficiency._extraction_pass``, which places a position's holder only
+    when its walk first pushes it and lets one check stand for every
+    completion."""
+    n = len(ranks)
+    better = _better_table([sorted(range(n), key=r.__getitem__) for r in ranks])
+    by_house = [[row[p] for row in better] for p in range(n)]
+    dest = [0] * n
+    dominated = validated = 0
+    for owner in itertools.permutations(range(n)):
+        cycle = _envy_cycle(list(map(list.__getitem__, by_house, owner)))
+        if cycle is None:
+            continue
+        dominated += 1
+        p = cycle[-1]
+        for q in cycle:
+            dest[p] = q
+            p = q
+        slots, colors = _trade_colors(ranks, owner, dest, cycle)
+        _blocking_labels(kind, ranks, owner, slots, colors)
         validated += 1
     return dominated, validated
 

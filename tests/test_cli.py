@@ -604,6 +604,29 @@ def test_unwritable_outputs_exit_two_without_a_traceback(example_files, tmp_path
     assert instance.read_text() == EXAMPLE_INSTANCE
 
 
+def test_a_failed_synth_write_leaves_no_partial_bundle(tmp_path):
+    # mu.txt cannot be written, so instance.txt, already written, must go
+    # again, and so must every temporary file.
+    out = tmp_path / "out"
+    (out / "mu.txt").mkdir(parents=True)
+    done = subprocess.run(
+        [sys.executable, "-m", "reallot.cli", "synth", "--mode", "sp", "--pref", "h1 h3 h2",
+         "--out", "out"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: cannot write out/mu.txt: Is a directory\n"
+    assert os.listdir(out) == ["mu.txt"]
+    assert os.listdir(out / "mu.txt") == []
+    (out / "mu.txt").rmdir()
+    assert _cli("synth", "--mode", "sp", "--pref", "h1 h3 h2", "--out", str(out)).returncode == 0
+    assert sorted(os.listdir(out)) == ["instance.txt", "mu.txt", "nu.txt"]
+
+
 def test_files_that_are_not_utf8_are_named_in_one_error_line(example_files, tmp_path, capsys):
     instance, _, _ = example_files
     bad = tmp_path / "bad.txt"

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import DomainSpec, sample_profile
@@ -26,6 +28,7 @@ from conftest import (
     _first_dominator,
     _shortest_cycle,
     _succ_raw,
+    paused_walk,
     profile_from,
 )
 
@@ -354,6 +357,35 @@ def test_envy_cycle_agrees_with_brute_force_on_every_allocation():
                 assert len(set(cycle)) == len(cycle) >= 2
                 for i, h in enumerate(cycle):
                     assert succ[h] >> cycle[(i + 1) % len(cycle)] & 1
+
+
+@st.composite
+def partly_known_digraphs(draw):
+    """Successor masks on n <= 8 nodes, self-loops allowed, an arbitrary
+    mask of nodes known from the start and a junk mask for the others."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    succ = draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+    return succ, draw(st.integers(0, full)), draw(st.integers(0, full))
+
+
+@settings(max_examples=400, deadline=None)
+@given(partly_known_digraphs())
+def test_a_paused_and_resumed_walk_is_the_one_shot_walk(case):
+    succ, known, junk = case
+    whole = _envy_cycle(succ)
+    got, paused = paused_walk(succ, known, junk)
+    assert got == whole
+    # The depth-first search oracle over successor lists agrees, and the
+    # walk paused once at each node it had to read, never at a known one.
+    lists = [[b for b in range(len(succ)) if s >> b & 1] for s in succ]
+    assert whole == _first_cycle(lists)
+    assert len(set(paused)) == len(paused)
+    assert not any(known >> v & 1 for v in paused)
+    if whole is None:
+        assert sorted(paused) == [v for v in range(len(succ)) if not known >> v & 1]
+    else:
+        assert set(whole) <= {v for v in range(len(succ)) if known >> v & 1} | set(paused)
 
 
 def cycle_search_cases():
