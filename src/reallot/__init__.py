@@ -23,7 +23,7 @@ _EXPORTS = {  # module -> its public names
         "Profile ReallotError enumerate_allocations"
     ),
     "domains": (
-        "DomainSpec ViolationWitness enumerate_all_preferences "
+        "DomainSpec Scope ViolationWitness enumerate_all_preferences "
         "enumerate_single_dipped enumerate_single_peaked is_single_dipped "
         "is_single_peaked sample_profile single_dipped_violation "
         "single_peaked_violation"
@@ -43,7 +43,6 @@ _EXPORTS = {  # module -> its public names
         "check_corollary_sd check_strategy_proofness serial_dictatorship ttc "
         "worst_house_dictatorship"
     ),
-    "scope": "Scope",
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

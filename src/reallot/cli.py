@@ -65,9 +65,17 @@ def parse_instance(text: str) -> Profile:
         elif line.startswith("agent "):
             body = line[len("agent ") :]
             name, sep, ranking = body.partition(":")
-            if not sep or not name.strip():
+            name = name.strip()
+            if not sep or not name:
                 raise ParseError("expected 'agent <name>: <ranking>'", lineno)
-            agent_lines.append((lineno, name.strip(), ranking))
+            # The allocation format reads '#' as a comment and '->' as its
+            # separator, and both formats split on whitespace.
+            if name.startswith("#") or "->" in name or name.split() != [name]:
+                raise ParseError(
+                    f"agent name {name!r} may not start with '#' or hold '->' or whitespace",
+                    lineno,
+                )
+            agent_lines.append((lineno, name, ranking))
         else:
             raise ParseError(f"unrecognized line: {line}", lineno)
     if houses is None:
@@ -312,9 +320,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .domains import DomainSpec
+    from .domains import DomainSpec, Scope
     from .equivalence import _check_sweep_agents, verify_equivalence
-    from .scope import Scope
 
     # Both bounds before the spec: it holds one entry per agent, so a huge
     # count would exhaust memory, and its errors would hide a low count.

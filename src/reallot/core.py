@@ -46,6 +46,14 @@ def _resolve_budget(budget: int | None) -> int:
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
+def _spend(need: int, unit: str, what: str, budget: int | None):
+    """The one budget check of the sweeps: refuse ``what`` when it needs
+    more than the resolved budget."""
+    budget = _resolve_budget(budget)
+    if need > budget:
+        raise BudgetError(f"{what} needs {need} {unit}, budget is {budget}")
+
+
 # Domain-spec entries naming the two structured preference families.
 SINGLE_PEAKED = "sp"
 SINGLE_DIPPED = "sd"

@@ -7,7 +7,10 @@ consume. Enumeration is constructive: a best-first walk over the
 order's intervals, out from each peak for SP and in from both ends for
 SD, streams the 2^(m-1) family members in lexicographic order without
 touching the m! permutation space. A :class:`DomainSpec` is a tuple of
-Cartesian blocks, and ``_profiles`` generates its profiles.
+Cartesian blocks, and ``_profiles`` generates its profiles. A
+:class:`Scope` says how much of a spec a sweep covers: its profiles
+(``seeds``) and their count (``size``), which every sweep checks against
+its budget before it draws a seed or lists a preference.
 """
 
 from __future__ import annotations
@@ -470,3 +473,49 @@ def _profiles(
         for prefs in itertools.product(*(_entry(e).prefs(order) for e in block)):
             if not all(p in skip for p in prefs):
                 yield Profile(instance, prefs)
+
+
+def _trial_seeds(seed: int | None, trials: int) -> list[int]:
+    master = random.Random(seed)
+    return [master.getrandbits(64) for _ in range(trials)]
+
+
+@dataclass(frozen=True)
+class Scope:
+    """How much of a domain to sweep: everything, or sampled profiles."""
+
+    kind: str
+    seed: int | None = None
+    trials: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("exhaustive", "randomized"):
+            raise ValueError(f"unknown scope kind: {self.kind}")
+        if self.kind == "randomized":
+            if self.seed is None or not self.trials:
+                raise ValueError("randomized scope needs a seed and a trial count")
+            if self.trials < 1:
+                raise ValueError(f"trial count must be at least 1, got {self.trials}")
+
+    @classmethod
+    def exhaustive(cls) -> Scope:
+        return cls("exhaustive")
+
+    @classmethod
+    def randomized(cls, seed: int, trials: int) -> Scope:
+        return cls("randomized", seed=seed, trials=trials)
+
+    def size(self, spec: DomainSpec, order: LinearOrder) -> int:
+        """How many profiles of the spec the scope covers, counted without
+        listing a preference or drawing a seed."""
+        return spec.space_size(order) if self.kind == "exhaustive" else self.trials
+
+    def seeds(self) -> list[int] | None:
+        """The ``_profiles`` seeds of the sampled profiles, or None for
+        every profile."""
+        return None if self.kind == "exhaustive" else _trial_seeds(self.seed, self.trials)
+
+    def describe(self) -> str:
+        if self.kind == "exhaustive":
+            return "exhaustive"
+        return f"randomized(seed={self.seed}, trials={self.trials})"

@@ -5,8 +5,9 @@ b1..bm by the order position of their houses and colors each red (house
 moves rightward) or blue (leftward). On an all-SP profile some adjacent
 red/blue pair envies each other; on an all-SD profile b1 and bm do.
 Witnesses, extractors, gap certificates and extraction claims all run one
-integer rule, ``efficiency._trade_colors``. The verifier sweeps whole
-domains for pair-efficient allocations that are not Pareto-efficient and
+integer rule, ``efficiency._trade_colors``. The verifier sweeps the
+profiles a ``domains.Scope`` covers, within the ``core._spend`` budget,
+for pair-efficient allocations that are not Pareto-efficient and
 certifies each with the brute-force oracle's dominator.
 """
 
@@ -18,12 +19,8 @@ import os
 from dataclasses import dataclass
 from operator import itemgetter
 
-# The budget lives in core and is re-exported here, where the sweeps that
-# use it are.
 from .core import (
     BRUTE_FORCE_MAX_AGENTS,
-    BUDGET_ENV_VAR,
-    DEFAULT_BUDGET,
     SINGLE_DIPPED,
     SINGLE_PEAKED,
     Allocation,
@@ -31,12 +28,15 @@ from .core import (
     Instance,
     Profile,
     _resolve_budget,
+    _spend,
 )
 from .domains import (
     DomainSpec,
+    Scope,
     _entry,
     _profiles,
     _swept_before,
+    _trial_seeds,
 )
 from .efficiency import (
     BLUE,
@@ -51,7 +51,6 @@ from .efficiency import (
     apply_cycle,
     pareto_dominates,
 )
-from .scope import Scope, _trial_seeds
 
 @dataclass(frozen=True)
 class ImprovementWitness:
@@ -206,20 +205,22 @@ def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
     return math.factorial(profile.n), _certified(profile, _gap_allocations(profile))
 
 
-def _definitional_spot_check(profile: Profile):
+def _definitional_spot_check(profiles):
     # Pair-inefficiency implies Pareto-inefficiency by definition: swapping
     # the blocking pair's houses dominates. Asserted once per run on the
-    # first profile in scope that has any blocking pair at all.
-    ranks = [p.rank_of for p in profile.prefs]
-    for perm in itertools.permutations(range(profile.n)):
-        pair = _blocking_pair_raw(ranks, perm)
-        if pair is None:
-            continue
-        mu = Allocation(perm)
-        swapped = apply_cycle(mu, pair)
-        if not pareto_dominates(profile, swapped, mu):
-            raise RuntimeError("blocking-pair swap failed to dominate")
-        return
+    # first profile in scope that has any blocking pair at all; profiles
+    # are read lazily, and a scope without one is read once.
+    for profile in profiles:
+        ranks = [p.rank_of for p in profile.prefs]
+        for perm in itertools.permutations(range(profile.n)):
+            pair = _blocking_pair_raw(ranks, perm)
+            if pair is None:
+                continue
+            mu = Allocation(perm)
+            swapped = apply_cycle(mu, pair)
+            if not pareto_dominates(profile, swapped, mu):
+                raise RuntimeError("blocking-pair swap failed to dominate")
+            return
 
 
 def _multinomial(combo: tuple[int, ...]) -> int:
@@ -382,7 +383,8 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Sweep a domain checking pair-efficiency implies Pareto-efficiency.
 
-    The reverse implication is definitional and spot-checked once per run.
+    The reverse implication is definitional and spot-checked once per run,
+    on the first profile in scope that has a blocking pair.
     Allocations that already fail pair-efficiency are pruned (the
     implication is vacuous there). An exhaustive sweep scans one profile
     per orbit of agent relabellings, folded with the house mirror
@@ -395,34 +397,22 @@ def verify_equivalence(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _check_sweep_agents(n)
     instance = Instance.default(n)
-    budget = _resolve_budget(budget)
-    fact = math.factorial(n)
-
-    if scope.kind == "exhaustive":
-        checks = spec.space_size(instance.order) * fact
-        if checks > budget:
-            raise BudgetError(f"exhaustive sweep needs {checks} checks, budget is {budget}")
+    checks = scope.size(spec, instance.order) * math.factorial(n)
+    _spend(checks, "checks", f"{scope.kind} sweep", budget)
+    seeds = scope.seeds()
+    if seeds is None:
         tasks = [
             (spec, n, k, i)
             for k, block in enumerate(spec.blocks)
             for i in range(_entry(block[0]).size(instance.order))
         ]
         task_fn = _scan_orbit_task
-        first_profile = next(_profiles(spec, instance))
     else:
-        trials = scope.trials
-        checks = trials * fact
-        if checks > budget:
-            raise BudgetError(f"randomized sweep needs {checks} checks, budget is {budget}")
-        master = _trial_seeds(scope.seed, trials)
-        chunk = max(1, math.ceil(trials / jobs / 4))
-        tasks = [
-            (spec, n, master[i : i + chunk]) for i in range(0, trials, chunk)
-        ]
+        chunk = max(1, math.ceil(len(seeds) / jobs / 4))
+        tasks = [(spec, n, seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)]
         task_fn = _scan_random_task
-        first_profile = next(_profiles(spec, instance, master[:1]))
 
-    _definitional_spot_check(first_profile)
+    _definitional_spot_check(_profiles(spec, instance, seeds))
 
     results = _run_tasks(task_fn, tasks, jobs)
     profiles = sum(r[0] for r in results)

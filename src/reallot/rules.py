@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Allocation, BudgetError, Instance, Preference, Profile, _resolve_budget
-from .domains import DomainSpec, _profiles
+from .core import Allocation, Instance, Preference, Profile, _spend
+from .domains import DomainSpec, Scope, _profiles
 # is_individually_rational sits with the other allocation checks and is
 # re-exported here.
 from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
-from .scope import Scope, _trial_seeds
 
 
 @dataclass(frozen=True)
@@ -148,27 +147,27 @@ def check_strategy_proofness(
     Misreports range over the lying agent's own admissible set, so the
     scan stays inside the declared domain. Empty violations means no
     manipulation was found in scope. The union has no per-agent sets, so
-    it raises ValueError.
+    it raises ValueError, as does a spec for another agent count.
     """
+    if spec.n != n:
+        raise ValueError("spec and instance disagree on the agent count")
     instance = Instance.default(n)
-    budget = _resolve_budget(budget)
     # Sized from the entry table, so a refused sweep lists no preferences.
     entries = [spec._agent_entry(a) for a in range(n)]
     sizes = [e.size(instance.order) for e in entries]
     per_profile = sum(s - 1 for s in sizes)
-    count = math.prod(sizes) if scope.kind == "exhaustive" else scope.trials
-    cases = count * per_profile
-    if cases > budget:
-        raise BudgetError(f"misreport sweep needs {cases} cases, budget is {budget}")
+    count = scope.size(spec, instance.order)
+    _spend(count * per_profile, "cases", "misreport sweep", budget)
     lists = [e.prefs(instance.order) for e in entries]
 
     # A profile is coded as sum(idx[a] * strides[a]) over its list indices,
     # the last agent fastest, so range() runs in itertools.product order.
     strides = [math.prod(sizes[a + 1 :]) for a in range(n)]
     codes = range(count)
-    if scope.kind != "exhaustive":
+    seeds = scope.seeds()
+    if seeds is not None:
         index = [{p: j for j, p in enumerate(prefs)} for prefs in lists]
-        samples = _profiles(spec, instance, _trial_seeds(scope.seed, count))
+        samples = _profiles(spec, instance, seeds)
         codes = (sum(index[a][p] * strides[a] for a, p in enumerate(s.prefs)) for s in samples)
 
     def profile_of(code: int) -> Profile:
@@ -220,17 +219,10 @@ def check_corollary_sd(
     no blocking pair and no improving cycle."""
     spec = DomainSpec.all_single_dipped(n)
     instance = Instance.default(n)
-    budget = _resolve_budget(budget)
-    if scope.kind == "exhaustive":
-        count = spec.space_size(instance.order)
-    else:
-        count = scope.trials
-    if count > budget:
-        raise BudgetError(f"corollary sweep needs {count} profiles, budget is {budget}")
+    _spend(scope.size(spec, instance.order), "profiles", "corollary sweep", budget)
     profiles = 0
     failures: list[tuple[Profile, Allocation, str]] = []
-    seeds = None if scope.kind == "exhaustive" else _trial_seeds(scope.seed, scope.trials)
-    for profile in _profiles(spec, instance, seeds):
+    for profile in _profiles(spec, instance, scope.seeds()):
         profiles += 1
         mu = ttc(profile)
         if find_blocking_pair(profile, mu) is not None:

@@ -13,6 +13,7 @@ from reallot.cli import main, serialize_instance
 from reallot.core import Allocation, Instance, LinearOrder, Preference, Profile
 from reallot.domains import (
     DomainSpec,
+    _trial_seeds,
     enumerate_all_preferences,
     enumerate_single_dipped,
     enumerate_single_peaked,
@@ -32,7 +33,6 @@ from reallot.efficiency import (
 )
 from reallot.equivalence import (
     Scope,
-    _trial_seeds,
     build_witness,
     extract_blocking_pair_sd,
     extract_blocking_pair_sp,

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -134,6 +136,40 @@ def test_parsers_return_or_raise_parse_error_on_any_text(text):
             parse(text)
         except ParseError:
             pass
+
+
+# Agent names near what the formats cannot carry: a leading '#' reads as
+# a comment, '->' as the allocation separator, whitespace as a token break.
+RISKY_NAME = st.text(alphabet="ab#->: \t", min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RISKY_NAME, min_size=3, max_size=3), st.permutations(range(3)))
+def test_agent_names_parse_only_when_both_formats_carry_them(names, assign):
+    text = "order: h1 h2 h3\n" + "".join(f"agent {name}: h1 h2 h3\n" for name in names)
+    try:
+        profile = parse_instance(text)
+    except ParseError:
+        return
+    assert parse_instance(serialize_instance(profile)) == profile
+    mu = Allocation(tuple(assign))
+    assert parse_allocation(serialize_allocation(profile.instance, mu), profile.instance) == mu
+
+
+@pytest.mark.parametrize("name", ["#a", "x->y", "a b"])
+def test_ttc_and_check_refuse_unwritable_agent_names(tmp_path, capsys, name):
+    instance = tmp_path / "instance.txt"
+    instance.write_text(
+        f"order: h1 h2 h3\nagent a1: h2 h3 h1\nagent {name}: h3 h1 h2\nagent a3: h1 h2 h3\n"
+    )
+    mu = tmp_path / "mu.txt"
+    mu.write_text(f"a1 -> h1\n{name} -> h2\na3 -> h3\n")
+    out = tmp_path / "out.txt"
+    assert main(["ttc", str(instance), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["check", str(instance), str(mu)]) == 2
+    refusal = f"agent name {name!r} may not start with '#' or hold '->' or whitespace"
+    assert capsys.readouterr().err == f"error: line 3: {refusal}\n" * 2
 
 
 # Names are single tokens without the formats' separators.
@@ -378,10 +414,10 @@ def test_every_public_name_resolves():
         (["check", "--ir", "instance.txt", "nu.txt"], "efficiency"),
         (["count", "instance.txt"], "efficiency"),
         (["enum", "--sd", "--m", "4"], "domains"),
-        (["ttc", "instance.txt"], "domains efficiency rules scope"),
+        (["ttc", "instance.txt"], "domains efficiency rules"),
         (
             ["verify", "--domain", "sp", "--n", "3", "--exhaustive"],
-            "domains efficiency equivalence scope",
+            "domains efficiency equivalence",
         ),
         (
             ["synth", "--mode", "sd", "--pref", "h2 h3 h1", "--out", "b"],
@@ -400,6 +436,24 @@ def test_each_subcommand_loads_only_what_it_runs(example_files, tmp_path, argv, 
     assert done.stderr in ("0\n", "1\n")
     expected = {"reallot", "reallot.cli", "reallot.core"} | {f"reallot.{m}" for m in extra.split()}
     assert done.stdout.split() == sorted(expected)
+
+
+def test_runtime_is_stdlib_only_and_the_module_map_is_complete():
+    package = Path(SRC) / "reallot"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    readme = (Path(SRC).parent / "README.md").read_text()
+    table = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)`", table, re.MULTILINE)) == modules
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -411,6 +411,40 @@ def test_verify_equivalence_job_count_is_invisible():
     assert r_one == r_two
 
 
+@pytest.mark.parametrize(
+    "text, n, scope",
+    [
+        ("sp", 3, Scope.exhaustive()),
+        ("sd", 4, Scope.exhaustive()),
+        ("all", 3, Scope.exhaustive()),
+        ("union", 4, Scope.exhaustive()),
+        ("sp,sd,sp", 3, Scope.exhaustive()),
+        ("sd", 4, Scope.randomized(seed=3, trials=20)),
+    ],
+)
+def test_the_definitional_spot_check_runs_once_per_sweep(monkeypatch, text, n, scope):
+    # The first profile of an exhaustive sweep gives every agent the same
+    # preference, so it has no blocking pair; the check must look further.
+    calls = []
+
+    def spy(profile, nu, mu):
+        calls.append((profile, nu, mu))
+        return pareto_dominates(profile, nu, mu)
+
+    monkeypatch.setattr(equivalence, "pareto_dominates", spy)
+    verify_equivalence(DomainSpec.parse(text, n), n, scope)
+    assert len(calls) == 1
+
+
+def test_a_scope_without_blocking_pairs_gets_no_spot_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(equivalence, "pareto_dominates", lambda *args: calls.append(args))
+    common = Preference((0, 1, 2))
+    report = verify_equivalence(DomainSpec([(common,)] * 3), 3, Scope.exhaustive())
+    assert calls == []
+    assert report.ok and report.profiles_checked == 1
+
+
 def test_verify_equivalence_budget():
     with pytest.raises(BudgetError):
         verify_equivalence(

@@ -6,9 +6,9 @@ import pytest
 
 from reallot import domains
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
-from reallot.domains import DomainSpec, enumerate_all_preferences, sample_profile
+from reallot.domains import DomainSpec, _trial_seeds, enumerate_all_preferences, sample_profile
 from reallot.efficiency import find_blocking_pair, find_improving_cycle
-from reallot.equivalence import Scope
+from reallot.equivalence import Scope, verify_equivalence
 from reallot.rules import (
     Manipulation,
     Rule,
@@ -20,7 +20,6 @@ from reallot.rules import (
     ttc,
     worst_house_dictatorship,
 )
-from reallot.scope import _trial_seeds
 
 from conftest import profile_from
 
@@ -220,6 +219,10 @@ def test_strategy_proofness_guards():
         check_strategy_proofness(
             Rule("ttc", ttc), DomainSpec.unrestricted(3), 3, Scope.exhaustive(), budget=10
         )
+    with pytest.raises(ValueError, match="disagree on the agent count"):
+        check_strategy_proofness(
+            Rule("ttc", ttc), DomainSpec.all_single_dipped(4), 3, Scope.exhaustive()
+        )
 
 
 def _strategy_proofness_by_objects(rule, spec, n, scope):
@@ -296,6 +299,37 @@ def test_strategy_proofness_refuses_before_it_lists(monkeypatch):
             Rule("ttc", ttc), DomainSpec.unrestricted(8), 8, Scope.exhaustive(), budget=100
         )
     assert str(caught.value) == f"misreport sweep needs {cases} cases, budget is 100"
+
+
+def test_a_refused_sweep_draws_no_seeds(monkeypatch):
+    # Each sweep checks its budget before the scope draws a seed.
+    def undrawn(seed, trials):
+        raise AssertionError("the refused sweep drew seeds")
+
+    monkeypatch.setattr(domains, "_trial_seeds", undrawn)
+    scope = Scope.randomized(seed=1, trials=10**6)
+    sweeps = [
+        (
+            lambda: verify_equivalence(DomainSpec.all_single_peaked(4), 4, scope, budget=1),
+            "randomized sweep needs 24000000 checks, budget is 1",
+        ),
+        (
+            lambda: check_strategy_proofness(
+                Rule("ttc", ttc), DomainSpec.all_single_dipped(4), 4, scope, budget=1
+            ),
+            "misreport sweep needs 28000000 cases, budget is 1",
+        ),
+        (
+            lambda: check_corollary_sd(4, scope, budget=1),
+            "corollary sweep needs 1000000 profiles, budget is 1",
+        ),
+    ]
+    for sweep, message in sweeps:
+        with pytest.raises(BudgetError) as caught:
+            sweep()
+        assert str(caught.value) == message
+    with pytest.raises(AssertionError, match="drew seeds"):
+        check_corollary_sd(4, Scope.randomized(seed=1, trials=3))
 
 
 def test_strategy_proofness_matches_the_object_loop():
