@@ -9,6 +9,7 @@ TTC on all-single-dipped profiles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -148,6 +149,12 @@ def check_strategy_proofness(
     scan stays inside the declared domain. Empty violations means no
     manipulation was found in scope. The union has no per-agent sets, so
     it raises ValueError, as does a spec for another agent count.
+
+    An agent whose truthful house is its top house has no profitable lie,
+    so its cases count as checked without running the rule. Each lie is
+    the truthful preference tuple with one entry replaced, and outcomes
+    are memoised by code, so the rule runs at most once per distinct
+    profile.
     """
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
@@ -161,40 +168,44 @@ def check_strategy_proofness(
     lists = [e.prefs(instance.order) for e in entries]
 
     # A profile is coded as sum(idx[a] * strides[a]) over its list indices,
-    # the last agent fastest, so range() runs in itertools.product order.
+    # the last agent fastest, so codes run in itertools.product order.
     strides = [math.prod(sizes[a + 1 :]) for a in range(n)]
-    codes = range(count)
     seeds = scope.seeds()
-    if seeds is not None:
+    if seeds is None:
+        truthful = enumerate(itertools.product(*lists))
+    else:
         index = [{p: j for j, p in enumerate(prefs)} for prefs in lists]
-        samples = _profiles(spec, instance, seeds)
-        codes = (sum(index[a][p] * strides[a] for a, p in enumerate(s.prefs)) for s in samples)
-
-    def profile_of(code: int) -> Profile:
-        return Profile(instance, tuple(lists[a][code // strides[a] % sizes[a]] for a in range(n)))
+        truthful = (
+            (sum(index[a][p] * strides[a] for a, p in enumerate(s.prefs)), s.prefs)
+            for s in _profiles(spec, instance, seeds)
+        )
 
     cache: dict[int, tuple[int, ...]] = {}  # code -> the rule's assignment
     profiles = 0
     violations: list[Manipulation] = []
-    for code in codes:
+    for code, prefs in truthful:
         profiles += 1
-        if code not in cache:
-            cache[code] = rule(profile_of(code)).assign
-        truthful = cache[code]
+        outcome = cache.get(code)
+        if outcome is None:
+            cache[code] = outcome = rule(Profile(instance, prefs)).assign
         for agent, stride in enumerate(strides):
+            mine = outcome[agent]
+            rank = prefs[agent].rank_of
+            if rank[mine] == 0:
+                continue  # no lie beats the top house: its cases are decided
             own = code // stride % sizes[agent]
-            rank = lists[agent][own].rank_of
-            mine = truthful[agent]
-            for j in range(sizes[agent]):
+            head, tail = prefs[:agent], prefs[agent + 1 :]
+            for j, pref in enumerate(lists[agent]):
                 if j == own:
                     continue
                 lie = code + (j - own) * stride
-                if lie not in cache:
-                    cache[lie] = rule(profile_of(lie)).assign
-                house = cache[lie][agent]
+                lied = cache.get(lie)
+                if lied is None:
+                    cache[lie] = lied = rule(Profile(instance, head + (pref,) + tail)).assign
+                house = lied[agent]
                 if rank[house] < rank[mine]:
                     violations.append(
-                        Manipulation(profile_of(code), agent, lists[agent][j], mine, house)
+                        Manipulation(Profile(instance, prefs), agent, pref, mine, house)
                     )
     return StrategyProofnessReport(rule.name, profiles, profiles * per_profile, tuple(violations))
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -177,8 +178,8 @@ NAME = st.text(alphabet="abcxyzAB0123456789_.", min_size=1, max_size=4)
 
 
 @st.composite
-def named_profiles(draw):
-    n = draw(st.integers(3, 5))
+def named_profiles(draw, max_n=5):
+    n = draw(st.integers(3, max_n))
     agents = draw(st.lists(NAME, min_size=n, max_size=n, unique=True))
     houses = draw(st.lists(NAME, min_size=n, max_size=n, unique=True))
     endowment = draw(st.permutations(range(n)))
@@ -621,6 +622,109 @@ def test_synth_fuzz_exits_cleanly_and_writes_a_checked_bundle(case):
     assert find_blocking_pair(profile, mu) is None
     assert find_improving_cycle(profile, mu) is not None
     assert pareto_dominates(profile, nu, mu)
+
+
+@st.composite
+def cli_files(draw):
+    """Instance and allocation bytes: a valid pair at n <= 4, each file kept,
+    spliced with a few bytes, or replaced by arbitrary bytes or by text
+    near the grammar, so that some runs get past the parsers."""
+    profile, mu = draw(named_profiles(max_n=4))
+    files = []
+    for text in (serialize_instance(profile), serialize_allocation(profile.instance, mu)):
+        data = text.encode()
+        how = draw(st.sampled_from(["valid", "valid", "spliced", "binary", "text"]))
+        if how == "spliced":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+        elif how == "binary":
+            data = draw(st.binary(max_size=120))
+        elif how == "text":
+            data = draw(TEXT).encode()
+        files.append(data)
+    return files
+
+
+KINDS = st.sampled_from(["sp", "sd", "all"])
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one of check, ttc, count, enum and verify, and the
+    --jobs it asks for. Sweeps stay at n <= 4 and --random <= 50."""
+    command = draw(st.sampled_from(["check", "ttc", "count", "enum", "verify"]))
+    instance = draw(st.sampled_from(["{instance}"] * 3 + ["{missing}"]))
+    jobs = 1
+    if command == "check":
+        argv = ["check", instance, "{allocation}"]
+        argv += [f for f in ("--pair", "--pareto", "--ir") if draw(st.booleans())]
+    elif command == "ttc":
+        argv = ["ttc", instance] + draw(st.sampled_from([[], ["--out", "{out}"]]))
+    elif command == "count":
+        argv = ["count", instance]
+    elif command == "enum":
+        kind = draw(st.sampled_from(["--sp", "--sd", "--all"]))
+        argv = ["enum", kind, "--m", str(draw(st.integers(-2, 4)))]
+    else:
+        n = draw(st.integers(3, 4) | st.integers(-1, 4))
+        domain = draw(
+            st.sampled_from(["sp", "sd", "all", "union", "x", ""])
+            | st.lists(KINDS, min_size=max(n, 1), max_size=max(n, 1)).map(",".join)
+            | st.lists(KINDS, min_size=1, max_size=5).map(",".join)
+        )
+        argv = ["verify", "--domain", domain, "--n", str(n)]
+        if draw(st.booleans()):
+            argv.append("--exhaustive")
+        else:
+            argv += ["--random", str(draw(st.integers(-2, 50)))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(-5, 2**40)))]
+        if draw(st.booleans()):
+            jobs = draw(st.integers(2, 4) | st.integers(-1, 10**6))
+            argv += ["--jobs", str(jobs)]
+    if draw(st.integers(0, 9)) == 0:  # an argparse error: one argument dropped
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv(), cli_files())
+def test_cli_fuzz_exits_cleanly_and_starts_no_runaway_pool(case, files):
+    argv, jobs = case
+    instance_bytes, allocation_bytes = files
+    sizes = []
+
+    class RecordingPool:
+        """Records the worker count it is asked for and runs the tasks in
+        this process, so that no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        keys = ("instance", "allocation", "missing", "out")
+        paths = {key: os.path.join(tmp, f"{key}.txt") for key in keys}
+        Path(paths["instance"]).write_bytes(instance_bytes)
+        Path(paths["allocation"]).write_bytes(allocation_bytes)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # A small budget keeps exhaustive n = 4 sweeps of `all` on the
+        # refusal path (exit 3) and the rest quick.
+        with mock.patch.object(equivalence, "ProcessPoolExecutor", RecordingPool), \
+                mock.patch.dict(os.environ, {"REALLOT_BUDGET": "100000"}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    assert all(size <= min(jobs, equivalence._usable_cpus()) for size in sizes)
 
 
 def test_ttc_command(example_files, tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reallot import domains
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
@@ -340,6 +342,64 @@ def test_strategy_proofness_matches_the_object_loop():
             assert report == _strategy_proofness_by_objects(rule, spec, n, scope)
             manipulated += len(report.violations)
     assert manipulated > 0  # violation order is compared, not just emptiness
+
+
+@st.composite
+def harness_cases(draw):
+    n = draw(st.integers(3, 5))
+    kinds = st.sampled_from(["sp", "sd", "all"])
+    if draw(st.booleans()):
+        text = draw(kinds)
+    else:
+        text = ",".join(draw(st.lists(kinds, min_size=n, max_size=n)))
+    if n == 3 and draw(st.booleans()):
+        scope = Scope.exhaustive()
+    else:
+        trials = draw(st.integers(1, 6 if n < 5 else 3))
+        scope = Scope.randomized(seed=draw(st.integers(0, 2**32 - 1)), trials=trials)
+    return DomainSpec.parse(text, n), n, scope
+
+
+@settings(max_examples=60, deadline=None)
+@given(harness_cases())
+def test_strategy_proofness_matches_the_object_loop_on_drawn_specs(case):
+    # The worst-house dictatorship can be manipulated by an agent holding
+    # its second house, so a skip that reaches past the top house shows.
+    spec, n, scope = case
+    for rule in _harness_rules(n):
+        assert check_strategy_proofness(rule, spec, n, scope) == _strategy_proofness_by_objects(
+            rule, spec, n, scope
+        )
+
+
+def test_strategy_proofness_skips_the_lies_of_agents_at_their_top_house():
+    calls = []
+
+    def counted(profile):
+        calls.append(profile.prefs)
+        return ttc(profile)
+
+    spec = DomainSpec.all_single_peaked(5)
+    scope = Scope.randomized(seed=29, trials=30)
+    report = check_strategy_proofness(Rule("ttc", counted), spec, 5, scope)
+    assert report == _strategy_proofness_by_objects(Rule("ttc", ttc), spec, 5, scope)
+
+    # The rule runs on every sampled profile and on every lie of an agent
+    # that does not hold its top house, once each, and on nothing else.
+    instance = Instance.default(5)
+    lists = [spec.admissible(instance.order, a) for a in range(5)]
+    needed, skipped = set(), set()
+    for seed in scope.seeds():
+        profile = sample_profile(spec, instance, seed)
+        needed.add(profile.prefs)
+        mu = ttc(profile)
+        for agent, true_pref in enumerate(profile.prefs):
+            lies = {profile.with_pref(agent, p).prefs for p in lists[agent] if p != true_pref}
+            (skipped if mu.assign[agent] == true_pref.peak else needed).update(lies)
+    skipped -= needed
+    assert skipped
+    assert len(calls) == len(set(calls))
+    assert set(calls) == needed
 
 
 def test_strategy_proofness_calls_the_rule_once_per_profile():
