@@ -8,6 +8,7 @@ across concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -118,6 +119,16 @@ class LinearOrder:
         return LinearOrder(tuple(n - 1 - p for p in self.position))
 
 
+def _better_row(ranking: Sequence[int]) -> tuple[int, ...]:
+    """``row[h]``: the mask of houses a best-first ``ranking`` puts above h."""
+    row = [0] * len(ranking)
+    above = 0
+    for h in ranking:
+        row[h] = above
+        above |= 1 << h
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class Preference:
     """A strict ranking of all houses, best first.
@@ -144,6 +155,11 @@ class Preference:
     @property
     def m(self) -> int:
         return len(self.ranking)
+
+    @functools.cached_property
+    def better(self) -> tuple[int, ...]:
+        """``better[h]``: the mask of houses strictly preferred to house h."""
+        return _better_row(self.ranking)
 
     @property
     def peak(self) -> int:

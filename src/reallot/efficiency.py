@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, Preference, Profile
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, Preference, Profile, _better_row
 
 RED = "red"
 BLUE = "blue"
@@ -255,30 +255,17 @@ def count_efficient(profile: Profile) -> tuple[int, int]:
     n = profile.n
     if n > BRUTE_FORCE_MAX_AGENTS:
         raise BudgetError(f"counting is guarded to n <= {BRUTE_FORCE_MAX_AGENTS}, got {n}")
-    found = _pair_efficient(_better_table([p.ranking for p in profile.prefs]))
+    found = _pair_efficient([p.better for p in profile.prefs])
     return len(found), sum(efficient for _, efficient in found)
 
 
 # --- the per-profile kernel -------------------------------------------------
 #
 # Houses are bits. ``better[a][h]`` is the mask of houses agent a strictly
-# prefers to house h. In an allocation where a holds h it is also the
-# successor set of h in the house-space envy digraph (h -> g when the
-# holder of h envies the holder of g), so that digraph needs no building:
-# ``succ[h]`` is one table lookup per house.
-
-
-def _better_table(rankings: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``better[a][h]`` from rankings listed best first."""
-    table = []
-    for ranking in rankings:
-        row = [0] * len(ranking)
-        above = 0
-        for h in ranking:
-            row[h] = above
-            above |= 1 << h
-        table.append(row)
-    return table
+# prefers to house h, agent a's ``Preference.better``. In an allocation
+# where a holds h it is also the successor set of h in the house-space envy
+# digraph (h -> g when the holder of h envies the holder of g), so that
+# digraph needs no building: ``succ[h]`` is one table lookup per house.
 
 
 def _envy_cycle(
@@ -460,8 +447,8 @@ def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, in
     has placed them all and found one efficient allocation.
     """
     n = len(ranks)
-    better = _better_table([sorted(range(n), key=r.__getitem__) for r in ranks])
-    by_house = [[row[p] for row in better] for p in range(n)]
+    better = [_better_row(sorted(range(n), key=r.__getitem__)) for r in ranks]
+    by_house = list(zip(*better))  # by_house[p][a] == better[a][p]
     full = (1 << n) - 1
     owner = list(range(n))  # the unplaced positions hold the free agents
     succ = [0] * n

@@ -41,7 +41,6 @@ from .domains import (
 from .efficiency import (
     BLUE,
     RED,
-    _better_table,
     _blocking_labels,
     _blocking_pair_raw,
     _extraction_pass,
@@ -172,10 +171,10 @@ class EquivalenceReport:
         return not self.violations
 
 
-def _gap_allocations(profile: Profile) -> list[tuple[int, ...]]:
-    """The pair-efficient yet Pareto-dominated allocations of one profile,
-    in lexicographic order."""
-    found = _pair_efficient(_better_table([p.ranking for p in profile.prefs]))
+def _gap_allocations(prefs) -> list[tuple[int, ...]]:
+    """The pair-efficient yet Pareto-dominated allocations of the profile
+    with these preferences, in lexicographic order: the one gap finder."""
+    found = _pair_efficient([p.better for p in prefs])
     return [assign for assign, efficient in found if not efficient]
 
 
@@ -197,12 +196,6 @@ def _certified(profile: Profile, gaps) -> list[Violation]:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))
     return found
-
-
-def _scan_profile_for_gaps(profile: Profile) -> tuple[int, list[Violation]]:
-    """Scan all allocations of one profile for the pair-efficient yet
-    dominated ones, each certified as in ``_certified``."""
-    return math.factorial(profile.n), _certified(profile, _gap_allocations(profile))
 
 
 def _definitional_spot_check(profiles):
@@ -239,15 +232,15 @@ def _mirror_indices(lst, n: int) -> list[int] | None:
     return None if None in sigma else sigma
 
 
-def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
+def _scan_orbit_task(args) -> tuple[int, list[Violation]]:
     """Scan one profile per orbit of agent relabellings, folded with the
     house mirror h -> n-1-h when every admissible list is closed under it.
 
     Agents with equal lists form a group; an orbit picks a multiset of list
     indices per group, and this task takes the orbits whose first group's
     least index is ``first_idx``. Neither symmetry moves an allocation in or
-    out of pair- or Pareto-efficiency. The kernel runs on each list's
-    ``better`` rows, built once, so a clean orbit is counted by its size
+    out of pair- or Pareto-efficiency. The kernel reads each listed
+    preference's cached row, so a clean orbit is counted by its size
     without a ``Profile``; under the fold only the lesser of an orbit and
     its mirror image is scanned, counted twice unless the mirror fixes it.
     A gapped orbit's members, mirror members included, take the
@@ -262,7 +255,6 @@ def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
     for a, entry in enumerate(spec.blocks[k]):
         lst = _entry(entry).prefs(instance.order)
         groups.setdefault(lst, []).append(a)
-    rows = [_better_table([p.ranking for p in lst]) for lst in groups]
     # The skipped all-monotone profiles are each other's mirror images.
     skipped = [{i for i, p in enumerate(lst) if p in skip} for lst in groups]
     sigmas = [_mirror_indices(lst, n) for lst in groups]
@@ -314,26 +306,25 @@ def _scan_orbit_task(args) -> tuple[int, int, list[Violation]]:
                 continue
         weight = math.prod(w for _, w in orbit)
         profiles += weight if mirrored == picks else 2 * weight
-        table = [None] * n
-        for combo, ag, r in zip(picks, groups.values(), rows):
+        prefs = [None] * n
+        for combo, (lst, ag) in zip(picks, groups.items()):
             for a, i in zip(ag, combo):
-                table[a] = r[i]
-        gaps = [assign for assign, efficient in _pair_efficient(table) if not efficient]
+                prefs[a] = lst[i]
+        gaps = _gap_allocations(prefs)
         if gaps:
             violations += members(picks, gaps, False)
             if mirrored != picks:
                 violations += members(picks, gaps, True)
-    return profiles, profiles * math.factorial(n), violations
+    return profiles, violations
 
 
-def _scan_random_task(args) -> tuple[int, int, list[Violation]]:
-    """Scan the sampled profile of each seed; every profile counts n!
-    allocations."""
+def _scan_random_task(args) -> tuple[int, list[Violation]]:
+    """Scan the sampled profile of each seed."""
     spec, n, seeds = args
     violations: list[Violation] = []
     for profile in _profiles(spec, Instance.default(n), seeds):
-        violations += _scan_profile_for_gaps(profile)[1]
-    return len(seeds), len(seeds) * math.factorial(n), violations
+        violations += _certified(profile, _gap_allocations(profile.prefs))
+    return len(seeds), violations
 
 
 # The pool class is imported when a sweep first runs in parallel, so that
@@ -395,6 +386,8 @@ def verify_equivalence(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if spec.n != n:
+        raise ValueError("spec and instance disagree on the agent count")
     _check_sweep_agents(n)
     instance = Instance.default(n)
     checks = scope.size(spec, instance.order) * math.factorial(n)
@@ -416,13 +409,12 @@ def verify_equivalence(
 
     results = _run_tasks(task_fn, tasks, jobs)
     profiles = sum(r[0] for r in results)
-    allocations = sum(r[1] for r in results)
     merged: dict[tuple, Violation] = {}
-    for _, _, found in results:
+    for _, found in results:
         for v in found:
             merged.setdefault(_violation_key(v), v)
     violations = tuple(merged[key] for key in sorted(merged))
-    return EquivalenceReport(spec, scope, profiles, allocations, violations)
+    return EquivalenceReport(spec, scope, profiles, profiles * math.factorial(n), violations)
 
 
 def find_gap_witness(
@@ -437,10 +429,14 @@ def find_gap_witness(
     or None. Sweeps exhaustively when the space fits the budget, else
     samples ``trials`` profiles from the given seed. The gap is certified
     as a sweep's violations are, its ``nu`` from the brute-force oracle."""
+    if spec.n != n:
+        raise ValueError("spec and instance disagree on the agent count")
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
     instance = Instance.default(n)
     fits = spec.space_size(instance.order) * math.factorial(n) <= _resolve_budget(budget)
     for profile in _profiles(spec, instance, None if fits else _trial_seeds(seed, trials)):
-        gaps = _gap_allocations(profile)
+        gaps = _gap_allocations(profile.prefs)
         if gaps:
             (found,) = _certified(profile, gaps[:1])
             return profile, found.mu, found.witness.nu

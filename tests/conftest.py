@@ -1,7 +1,8 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
 envy-graph, cycle-search and dominator oracles, the paused-walk helper,
-the literal witness, extractor and extraction-claim oracles, the
-per-permutation extraction pass and the direct single-dipped oracles."""
+the literal witness, extractor and extraction-claim oracles, the kernel
+row by definition, the per-permutation extraction pass and the direct
+single-dipped oracles."""
 
 import itertools
 from collections import deque
@@ -14,7 +15,6 @@ from reallot.domains import NOT_SINGLE_DIPPED, ViolationWitness, is_single_dippe
 from reallot.efficiency import (
     BLUE,
     RED,
-    _better_table,
     _blocking_labels,
     _envy_cycle,
     _trade_colors,
@@ -272,6 +272,19 @@ def extraction_claims_by_definition(profile: Profile, kind: str) -> tuple[int, i
     return dominated, validated
 
 
+def better_row_by_definition(ranking) -> list[int]:
+    """``row[h]``: the OR of the bits of the houses that ``ranking``, listed
+    best first, places strictly above house h. The oracle for
+    ``Preference.better``, written apart from the row builder it checks."""
+    row = []
+    for h in range(len(ranking)):
+        mask = 0
+        for g in ranking[: ranking.index(h)]:
+            mask |= 1 << g
+        row.append(mask)
+    return row
+
+
 def extraction_pass_by_permutation(ranks, kind: str) -> tuple[int, int]:
     """(dominated, validated) with one whole ``_envy_cycle`` walk per owner
     permutation and both rules run on every dominated one: the oracle for
@@ -279,7 +292,7 @@ def extraction_pass_by_permutation(ranks, kind: str) -> tuple[int, int]:
     when its walk first pushes it and lets one check stand for every
     completion."""
     n = len(ranks)
-    better = _better_table([sorted(range(n), key=r.__getitem__) for r in ranks])
+    better = [better_row_by_definition(sorted(range(n), key=r.__getitem__)) for r in ranks]
     by_house = [[row[p] for row in better] for p in range(n)]
     dest = [0] * n
     dominated = validated = 0

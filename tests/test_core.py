@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from reallot.core import (
     enumerate_allocations,
 )
 
-from conftest import pref
+from conftest import better_row_by_definition, pref
 
 
 def brute_peak(p: Preference) -> int:
@@ -154,3 +155,23 @@ def test_enumerate_allocations_counts_and_order():
     seen = [a.assign for a in enumerate_allocations(Instance.default(5))]
     assert len(set(seen)) == 120
     assert seen == sorted(seen)  # lexicographic on the assigned sequence
+
+
+def test_better_row_matches_the_definition():
+    rankings = [r for m in range(1, 7) for r in itertools.permutations(range(m))]
+    rng = random.Random(23)
+    rankings += [tuple(rng.sample(range(m), m)) for m in (7, 8) for _ in range(500)]
+    for ranking in rankings:
+        assert Preference(ranking).better == tuple(better_row_by_definition(ranking))
+
+
+def test_reading_better_changes_no_equality_hash_repr_or_pickle():
+    for ranking in ((0,), (2, 0, 1), (3, 1, 4, 0, 2)):
+        fresh, read = Preference(ranking), Preference(ranking)
+        assert read.better is read.better  # built once, on first read
+        assert "better" not in vars(fresh)  # and never before
+        assert fresh == read and hash(fresh) == hash(read) and repr(fresh) == repr(read)
+        for p in (fresh, read):
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+            assert back.better == read.better

@@ -9,7 +9,6 @@ from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Prefere
 from reallot.domains import DomainSpec, sample_profile
 from reallot.efficiency import (
     ImprovingCycle,
-    _better_table,
     _blocking_pair_raw,
     _envy_cycle,
     _first_dominators,
@@ -278,7 +277,7 @@ def flat_pair_efficient(profile):
 def test_pruned_enumeration_matches_the_flat_scan():
     for profile in itertools.chain(kernel_profiles(), kernel_profiles(order_seed=2)):
         flat = flat_pair_efficient(profile)
-        assert _pair_efficient(_better_table([p.ranking for p in profile.prefs])) == flat
+        assert _pair_efficient([p.better for p in profile.prefs]) == flat
         assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
 
 
@@ -304,7 +303,7 @@ def repeat_profiles():
 def test_memoised_leaf_test_matches_the_flat_scan_at_n6_and_n7():
     repeated = cyclic = 0
     for profile in repeat_profiles():
-        better = _better_table([p.ranking for p in profile.prefs])
+        better = [p.better for p in profile.prefs]
         found = _pair_efficient(better)
         assert found == flat_pair_efficient(profile)
         repeated += len(found) - len({leaf_digraph(better, perm) for perm, _ in found})
@@ -323,7 +322,7 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
 
     monkeypatch.setattr(efficiency, "_envy_cycle", spy)
     for profile in repeat_profiles():
-        better = _better_table([p.ranking for p in profile.prefs])
+        better = [p.better for p in profile.prefs]
         for _ in range(2):  # no answer outlives its call
             del walked[:]
             found = _pair_efficient(better)
@@ -336,7 +335,7 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
     ranking = (2, 0, 4, 1, 3)
     profile = Profile(Instance.default(n), (Preference(ranking),) * n)
     del walked[:]
-    found = _pair_efficient(_better_table([ranking] * n))
+    found = _pair_efficient([Preference(ranking).better] * n)
     assert found == [(perm, True) for perm in itertools.permutations(range(n))]
     assert len(walked) == 1
     assert count_efficient(profile) == (120, 120)
@@ -345,7 +344,7 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
 
 def test_envy_cycle_agrees_with_brute_force_on_every_allocation():
     for profile in kernel_profiles():
-        better = _better_table([p.ranking for p in profile.prefs])
+        better = [p.better for p in profile.prefs]
         for perm in itertools.permutations(range(profile.n)):
             succ = [0] * profile.n
             for a, h in enumerate(perm):
@@ -406,7 +405,7 @@ def cycle_search_cases():
             profile = sample_profile(specs[seed % 2], inst, seed)
             yield profile, Allocation(tuple(rng.sample(range(n), n)))
             if seed % 20 == 1:
-                better = _better_table([p.ranking for p in profile.prefs])
+                better = [p.better for p in profile.prefs]
                 for perm, efficient in _pair_efficient(better):
                     if not efficient:
                         yield profile, Allocation(perm)
@@ -447,7 +446,7 @@ def dominator_cases():
         perms = list(itertools.permutations(range(n)))
         for seed in range(count):
             profile = sample_profile(specs[seed % 2], inst, seed)
-            better = _better_table([p.ranking for p in profile.prefs])
+            better = [p.better for p in profile.prefs]
             yield profile, [perm for perm, efficient in _pair_efficient(better) if not efficient]
             yield profile, rng.sample(perms, 10)
 

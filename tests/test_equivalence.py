@@ -268,7 +268,9 @@ def _unreduced_exhaustive_sweep(spec, n):
             if dedup and all(p in monotone for p in prefs):
                 continue
             profiles += 1
-            violations += equivalence._scan_profile_for_gaps(Profile(inst, prefs))[1]
+            violations += equivalence._certified(
+                Profile(inst, prefs), equivalence._gap_allocations(prefs)
+            )
     violations.sort(key=lambda v: (tuple(p.ranking for p in v.profile.prefs), v.mu.assign))
     return EquivalenceReport(
         spec, Scope.exhaustive(), profiles, profiles * math.factorial(n), tuple(violations)
@@ -307,7 +309,7 @@ def test_union_sweep_scans_each_block_with_its_own_lists(monkeypatch):
     rows = {}
     for kind in ("sp", "sd"):
         prefs = DomainSpec.parse(kind, n).admissible(order, 0)
-        rows[kind] = {tuple(r) for r in equivalence._better_table([p.ranking for p in prefs])}
+        rows[kind] = {p.better for p in prefs}
     scanned = []
     kernel = equivalence._pair_efficient
 
@@ -385,11 +387,73 @@ def test_mirror_fold_on_explicit_lists(drawn):
     }
 
 
+@st.composite
+def relabelled_specs(draw):
+    """A one-block spec at n = 3 or 4, each agent a kind or an explicit list
+    (``all`` only at n = 3, to keep the sweep small), and a relabelling
+    ``sigma`` of its agents."""
+    n = draw(st.sampled_from((3, 4)))
+    every = list(enumerate_all_preferences(n))
+    kinds = ("sp", "sd", "all") if n == 3 else ("sp", "sd")
+    entries = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            entries.append(draw(st.sampled_from(kinds)))
+        else:
+            picked = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
+            entries.append(tuple(picked))
+    return DomainSpec(tuple(entries)), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_specs())
+def test_relabelling_the_agents_relabels_the_exhaustive_report(drawn):
+    # The orbit scan counts one profile per orbit of agent relabellings, so
+    # relabelling the spec's agents must move nothing but the labels. The
+    # dominator nu is the first in canonical order, which depends on the
+    # agent indices, so it is compared by domination only.
+    spec, sigma = drawn
+    n = spec.n
+    report = verify_equivalence(spec, n, Scope.exhaustive())
+    image = verify_equivalence(
+        DomainSpec(tuple(spec.per_agent[b] for b in sigma)), n, Scope.exhaustive()
+    )
+    assert image.profiles_checked == report.profiles_checked
+    assert image.allocations_checked == report.allocations_checked
+    assert len(image.violations) == len(report.violations)
+    # Agent a of the image is agent sigma[a] of the original.
+    by_key = {(v.profile.prefs, v.mu.assign): v for v in image.violations}
+    for v in report.violations:
+        key = (tuple(v.profile.prefs[b] for b in sigma), tuple(v.mu.assign[b] for b in sigma))
+        moved = by_key.pop(key)
+        assert pareto_dominates(moved.profile, moved.witness.nu, moved.mu)
+        nu = Allocation(tuple(v.witness.nu.assign[b] for b in sigma))
+        assert pareto_dominates(moved.profile, nu, moved.mu)
+    assert not by_key
+
+
 def test_verify_equivalence_rejects_nonpositive_jobs():
     for jobs in (0, -3):
         for scope in (Scope.exhaustive(), Scope.randomized(seed=1, trials=5)):
             with pytest.raises(ValueError):
                 verify_equivalence(DomainSpec.all_single_peaked(3), 3, scope, jobs=jobs)
+
+
+def test_a_spec_for_another_agent_count_is_refused_up_front():
+    # Refused before the budget is sized on the wrong instance, and before
+    # a profile of the wrong length is built.
+    sweeps = [
+        (DomainSpec.parse("all", 12), 3, Scope.exhaustive()),
+        (DomainSpec.parse("all", 4), 3, Scope.randomized(1, 10**9)),
+        (DomainSpec.parse("sp", 4), 3, Scope.exhaustive()),
+        (DomainSpec.parse("sd,sp,sd", 3), 4, Scope.randomized(1, 5)),
+    ]
+    for spec, n, scope in sweeps:
+        with pytest.raises(ValueError, match="spec and instance disagree on the agent count"):
+            verify_equivalence(spec, n, scope)
+    for spec, n in ((DomainSpec.parse("sp", 4), 3), (DomainSpec.parse("sd,sp,sd", 3), 4)):
+        with pytest.raises(ValueError, match="spec and instance disagree on the agent count"):
+            find_gap_witness(spec, n, seed=0)
 
 
 def test_verify_equivalence_randomized_subset_of_exhaustive():
@@ -409,6 +473,20 @@ def test_verify_equivalence_job_count_is_invisible():
     r_one = verify_equivalence(spec, 3, Scope.randomized(seed=9, trials=40), jobs=1)
     r_two = verify_equivalence(spec, 3, Scope.randomized(seed=9, trials=40), jobs=2)
     assert r_one == r_two
+
+
+def test_job_count_is_invisible_after_this_process_reads_the_rows():
+    # Explicit lists are pickled to the workers with whatever this process
+    # cached on them; the report must not depend on it.
+    every = list(enumerate_all_preferences(4))
+    lists = (tuple(every[:6]), tuple(every[5:12]), tuple(every[::5]), tuple(every[:6]))
+    for lst in lists:
+        for p in lst:
+            assert p.better
+    spec = DomainSpec(lists)
+    two = verify_equivalence(spec, 4, Scope.exhaustive(), jobs=2)
+    assert two.violations
+    assert two == verify_equivalence(spec, 4, Scope.exhaustive(), jobs=1)
 
 
 @pytest.mark.parametrize(
@@ -506,6 +584,14 @@ def test_find_gap_witness_sampling_path():
     spec = DomainSpec.parse("sp,sd,sp", 3)
     found = find_gap_witness(spec, 3, seed=1, trials=200, budget=50)
     assert found is not None
+
+
+def test_find_gap_witness_refuses_a_trial_count_below_one():
+    spec = DomainSpec.parse("sp,sd,sp", 3)
+    for trials in (0, -3):
+        for budget in (None, 50):  # the exhaustive and the sampled path
+            with pytest.raises(ValueError, match=f"trial count must be at least 1, got {trials}"):
+                find_gap_witness(spec, 3, seed=1, trials=trials, budget=budget)
 
 
 @pytest.fixture
