@@ -119,16 +119,6 @@ class LinearOrder:
         return LinearOrder(tuple(n - 1 - p for p in self.position))
 
 
-def _better_row(ranking: Sequence[int]) -> tuple[int, ...]:
-    """``row[h]``: the mask of houses a best-first ``ranking`` puts above h."""
-    row = [0] * len(ranking)
-    above = 0
-    for h in ranking:
-        row[h] = above
-        above |= 1 << h
-    return tuple(row)
-
-
 @dataclass(frozen=True)
 class Preference:
     """A strict ranking of all houses, best first.
@@ -159,7 +149,12 @@ class Preference:
     @functools.cached_property
     def better(self) -> tuple[int, ...]:
         """``better[h]``: the mask of houses strictly preferred to house h."""
-        return _better_row(self.ranking)
+        row = [0] * len(self.ranking)
+        above = 0
+        for h in self.ranking:
+            row[h] = above
+            above |= 1 << h
+        return tuple(row)
 
     @property
     def peak(self) -> int:

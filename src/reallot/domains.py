@@ -133,9 +133,10 @@ def single_dipped_violation(pref: Preference, order: LinearOrder) -> ViolationWi
     return _peak_violation(_worst_first(pref.rank_of), order, NOT_SINGLE_DIPPED)
 
 
-def _sp_from_mask(order: LinearOrder, mask: int) -> Preference:
-    # Worst-to-best: each bit picks which end of the remaining interval
-    # of the order supplies the next-worse house.
+def _sp_from_mask(order: LinearOrder, mask: int) -> list[int]:
+    # A single-peaked ranking listed worst first, so read best first a
+    # single-dipped one: each bit picks which end of the remaining
+    # interval of the order supplies the next-worse house.
     m = order.n
     by_rank = order.by_rank
     lo, hi = 0, m - 1
@@ -148,8 +149,7 @@ def _sp_from_mask(order: LinearOrder, mask: int) -> Preference:
             worst_first.append(by_rank[lo])
             lo += 1
     worst_first.append(by_rank[lo])
-    worst_first.reverse()
-    return Preference(tuple(worst_first))
+    return worst_first
 
 
 def _lex_walk(m: int, roots, grow) -> Iterator[Preference]:
@@ -225,6 +225,11 @@ def _sd_family(order: LinearOrder) -> tuple[Preference, ...]:
     return tuple(enumerate_single_dipped(order))
 
 
+@functools.lru_cache(maxsize=None)
+def _all_family(m: int) -> tuple[Preference, ...]:
+    return tuple(enumerate_all_preferences(m))
+
+
 def _family_exceeds(kind: str, m: int, cap: int) -> bool:
     """Whether the ``kind`` family over m houses has more than ``cap``
     preferences, decided without building one and without big numbers:
@@ -259,8 +264,11 @@ def monotone_decreasing(order: LinearOrder) -> Preference:
     return Preference(tuple(reversed(order.by_rank)))
 
 
-def _draw_sp(order: LinearOrder, rng: random.Random) -> Preference:
-    return _sp_from_mask(order, rng.getrandbits(order.n - 1) if order.n > 1 else 0)
+def _draw_mask(step: int, order: LinearOrder, rng: random.Random) -> Preference:
+    """A uniform SP preference (``step`` -1) or SD one (``step`` 1): the
+    worst-first list of a random mask, read in that direction."""
+    worst_first = _sp_from_mask(order, rng.getrandbits(order.n - 1) if order.n > 1 else 0)
+    return Preference(tuple(worst_first[::step]))
 
 
 class _Entry(NamedTuple):
@@ -279,15 +287,10 @@ def _family_size(order: LinearOrder) -> int:
 
 
 _KINDS = {
-    SINGLE_PEAKED: _Entry(_sp_family, _family_size, is_single_peaked, _draw_sp),
-    SINGLE_DIPPED: _Entry(
-        _sd_family,
-        _family_size,
-        is_single_dipped,
-        lambda order, rng: _draw_sp(order, rng).reversed(),
-    ),
+    SINGLE_PEAKED: _Entry(_sp_family, _family_size, is_single_peaked, functools.partial(_draw_mask, -1)),
+    SINGLE_DIPPED: _Entry(_sd_family, _family_size, is_single_dipped, functools.partial(_draw_mask, 1)),
     UNRESTRICTED: _Entry(
-        lambda order: tuple(enumerate_all_preferences(order.n)),
+        lambda order: _all_family(order.n),
         lambda order: math.factorial(order.n),
         lambda pref, order: True,
         lambda order, rng: Preference(tuple(rng.sample(range(order.n), order.n))),

@@ -10,9 +10,10 @@ The walk can pause before a node whose successors are not yet known, so
 the extraction pass places a house's holder only when the walk reaches
 it and checks one cycle for every allocation that completes it.
 ``_trade_colors`` is the one witness rule, shared by the witnesses, the
-extractors and the extraction pass. The tests keep a depth-first search,
-a literal witness builder and the per-permutation extraction pass as
-their oracles.
+extractors and the extraction pass; everything else works on houses, and
+it alone reads the order, to label and colour the improvers. The tests
+keep a depth-first search, a literal witness builder and the
+per-permutation extraction pass as their oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, Preference, Profile, _better_row
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, LinearOrder, Preference, Profile
 
 RED = "red"
 BLUE = "blue"
@@ -380,36 +381,39 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     return found
 
 
-def _trade_colors(ranks, owner, dest, moved: Iterable[int]) -> tuple[list[int], list[str]]:
-    """The witness rule, on houses numbered by order position: ``ranks[a][p]``
-    is agent a's rank of the house at position p, ``owner[p]`` its holder
-    under mu, and the holder of each p in ``moved`` takes ``dest[p]``. The
-    trade must dominate and close over the improvers' houses; rank rows are
-    permutations, so an equal rank means the same house and a better one
-    another house. Returns the improvers' positions ascending (the labels
+def _trade_colors(ranks, order: LinearOrder, owner, dest, moved: Iterable[int]) -> tuple[list[int], list[str]]:
+    """The witness rule, on houses: ``ranks[a][h]`` is agent a's rank of
+    house h, ``owner[h]`` its holder under mu, and the holder of each h in
+    ``moved`` takes ``dest[h]``. The trade must dominate and close over the
+    improvers' houses; rank rows are permutations, so an equal rank means
+    the same house and a better one another house. The one reader of the
+    order: returns the improvers' houses left to right along it (the labels
     b1..bm) and their colours, red when a house moves rightward.
     """
-    gave = got = 0
-    for p in moved:
-        rank = ranks[owner[p]]
-        q = dest[p]
-        if rank[q] < rank[p]:
-            gave |= 1 << p
-            got |= 1 << q
-        elif rank[q] > rank[p]:
+    pos = order.position
+    gave = got = 0  # one bit per order position
+    for h in moved:
+        rank = ranks[owner[h]]
+        g = dest[h]
+        if rank[g] < rank[h]:
+            gave |= 1 << pos[h]
+            got |= 1 << pos[g]
+        elif rank[g] > rank[h]:
             raise ValueError("nu does not Pareto-dominate mu at this profile")
     if not gave:
         raise ValueError("nu does not Pareto-dominate mu at this profile")
     if gave != got:
         raise ValueError("improving agents must trade houses among themselves")
+    by_rank = order.by_rank
     slots = []
     colors = []
     while gave:
         bit = gave & -gave
         gave ^= bit
         p = bit.bit_length() - 1
-        slots.append(p)
-        colors.append(RED if p < dest[p] else BLUE)
+        h = by_rank[p]
+        slots.append(h)
+        colors.append(RED if p < pos[dest[h]] else BLUE)
     return slots, colors
 
 
@@ -432,45 +436,45 @@ def _blocking_labels(kind: str, ranks, owner, slots: Sequence[int], colors: Sequ
     return low, high
 
 
-def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, int]:
-    """(dominated, validated) over all n! allocations of one profile, on
-    ``_trade_colors``'s rank rows. Each dominated allocation trades along
-    its envy cycle, which must pass the witness and pair rules on rank
-    lookups rather than the masks that found it; any failure raises.
+def _extraction_pass(prefs: Sequence[Preference], order: LinearOrder, kind: str) -> tuple[int, int]:
+    """(dominated, validated) over all n! allocations of one profile. Each
+    dominated allocation trades along its envy cycle over houses, which
+    must pass the witness and pair rules on ``rank_of`` lookups rather
+    than the ``better`` masks that found it; any failure raises.
 
-    A position gets its holder only when the cycle walk first pushes it,
-    each free agent in turn. The walk reads successors only at the
-    positions it pushed and the two rules read holders only on the cycle,
-    so once the walk closes a cycle every completion of the unplaced
-    positions has that cycle and that outcome: one check stands for
-    (n - placed)! dominated allocations. A walk that peels every position
-    has placed them all and found one efficient allocation.
+    A house gets its holder only when the cycle walk first pushes it, each
+    free agent in turn. The walk reads successors only at the houses it
+    pushed and the two rules read holders only on the cycle, so once the
+    walk closes a cycle every completion of the unplaced houses has that
+    cycle and that outcome: one check stands for (n - placed)! dominated
+    allocations. A walk that peels every house has placed them all and
+    found one efficient allocation.
     """
-    n = len(ranks)
-    better = [_better_row(sorted(range(n), key=r.__getitem__)) for r in ranks]
-    by_house = list(zip(*better))  # by_house[p][a] == better[a][p]
+    n = len(prefs)
+    ranks = [p.rank_of for p in prefs]
+    by_house = list(zip(*(p.better for p in prefs)))  # by_house[h][a] == better[a][h]
     full = (1 << n) - 1
-    owner = list(range(n))  # the unplaced positions hold the free agents
+    owner = list(range(n))  # the unplaced houses hold the free agents
     succ = [0] * n
     dest = [0] * n
     dominated = 0
 
-    def place(p: int, known: int, state: list):
-        # The walk paused before pushing position p. Give p each free agent
-        # in turn (q runs over p and the other unplaced positions, whose
-        # holders are the free agents), resume the walk, restore ``owner``.
+    def place(h: int, known: int, state: list):
+        # The walk paused before pushing house h. Give h each free agent in
+        # turn (g runs over h and the other unplaced houses, whose holders
+        # are the free agents), resume the walk, restore ``owner``.
         nonlocal dominated
         live, path, on_path = state
-        row = by_house[p]
+        row = by_house[h]
         free = full ^ known
-        known |= 1 << p
+        known |= 1 << h
         completions = math.factorial(n - known.bit_count())
         while free:
             bit = free & -free
             free ^= bit
-            q = bit.bit_length() - 1
-            owner[p], owner[q] = owner[q], owner[p]
-            succ[p] = row[owner[p]]
+            g = bit.bit_length() - 1
+            owner[h], owner[g] = owner[g], owner[h]
+            succ[h] = row[owner[h]]
             resumed = [live, path[:], on_path]
             got = _envy_cycle(succ, known, resumed)
             if type(got) is int:
@@ -480,10 +484,10 @@ def _extraction_pass(ranks: Sequence[Sequence[int]], kind: str) -> tuple[int, in
                 for nxt in got:
                     dest[last] = nxt
                     last = nxt
-                slots, colors = _trade_colors(ranks, owner, dest, got)
+                slots, colors = _trade_colors(ranks, order, owner, dest, got)
                 _blocking_labels(kind, ranks, owner, slots, colors)
                 dominated += completions
-            owner[p], owner[q] = owner[q], owner[p]
+            owner[h], owner[g] = owner[g], owner[h]
 
-    place(0, 0, [full, [], 0])  # a walk with nothing known pauses at position 0
+    place(0, 0, [full, [], 0])  # a walk with nothing known pauses at house 0
     return dominated, dominated  # a failed check raises, so all are validated

@@ -5,10 +5,11 @@ b1..bm by the order position of their houses and colors each red (house
 moves rightward) or blue (leftward). On an all-SP profile some adjacent
 red/blue pair envies each other; on an all-SD profile b1 and bm do.
 Witnesses, extractors, gap certificates and extraction claims all run one
-integer rule, ``efficiency._trade_colors``. The verifier sweeps the
-profiles a ``domains.Scope`` covers, within the ``core._spend`` budget,
-for pair-efficient allocations that are not Pareto-efficient and
-certifies each with the brute-force oracle's dominator.
+integer rule, ``efficiency._trade_colors``, on houses and ``rank_of``
+rows; the rule alone reads the order. The verifier sweeps the profiles a
+``domains.Scope`` covers, within the ``core._spend`` budget, for
+pair-efficient allocations that are not Pareto-efficient and certifies
+each with the brute-force oracle's dominator.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .core import (
     BRUTE_FORCE_MAX_AGENTS,
@@ -84,24 +84,17 @@ class ImprovementWitness:
         return self.colors[self.labels.index(agent)]
 
 
-def _position_ranks(profile: Profile) -> list[tuple[int, ...]]:
-    """``ranks[a][p]``: the rank agent a gives the house at order position p."""
-    at = itemgetter(*profile.order.by_rank)
-    return [at(p.rank_of) for p in profile.prefs]
-
-
 def _witness(profile: Profile, ranks, mu: Allocation, nu: Allocation):
     """(witness, owner, slots) for the trade from mu to nu, checked by
-    ``_trade_colors`` on ``_position_ranks`` rows: ``owner[p]`` holds
-    position p under mu, and ``slots`` are the labels' positions."""
+    ``_trade_colors`` on the ``rank_of`` rows ``ranks``: ``owner[h]`` holds
+    house h under mu, and ``slots`` are the labels' houses."""
     n = profile.n
     if nu.n != n or mu.n != n:
         raise ValueError("allocation size does not match the profile")
-    pos = profile.order.position
-    owner = [mu.assign.index(h) for h in profile.order.by_rank]
-    dest = [pos[nu.assign[a]] for a in owner]
-    slots, colors = _trade_colors(ranks, owner, dest, range(n))
-    labels = tuple([owner[p] for p in slots])
+    owner = sorted(range(n), key=mu.assign.__getitem__)
+    dest = [nu.assign[a] for a in owner]
+    slots, colors = _trade_colors(ranks, profile.order, owner, dest, range(n))
+    labels = tuple([owner[h] for h in slots])
     return ImprovementWitness(nu, frozenset(labels), labels, tuple(colors)), owner, slots
 
 
@@ -112,7 +105,7 @@ def build_witness(profile: Profile, mu: Allocation, nu: Allocation) -> Improveme
     must keep their houses, and mu and nu must shuffle the same houses
     within the improving set.
     """
-    return _witness(profile, _position_ranks(profile), mu, nu)[0]
+    return _witness(profile, [p.rank_of for p in profile.prefs], mu, nu)[0]
 
 
 def _check_family(profile: Profile, kind: str):
@@ -126,7 +119,7 @@ def _check_family(profile: Profile, kind: str):
 
 def _extract_pair(profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str):
     _check_family(profile, kind)
-    ranks = _position_ranks(profile)
+    ranks = [p.rank_of for p in profile.prefs]
     built, owner, slots = _witness(profile, ranks, mu, witness.nu)
     if built != witness:
         raise ValueError("witness does not match this profile and allocation")
@@ -185,13 +178,12 @@ def _certified(profile: Profile, gaps) -> list[Violation]:
     if not gaps:
         return []
     ranks = [p.rank_of for p in profile.prefs]
-    by_position = _position_ranks(profile)
     found: list[Violation] = []
     for assign, nu in zip(gaps, _first_dominators(profile.prefs, gaps)):
         if nu is None:
             raise RuntimeError("cycle checker and brute-force oracle disagree")
         mu = Allocation(assign)
-        witness = _witness(profile, by_position, mu, Allocation(nu))[0]
+        witness = _witness(profile, ranks, mu, Allocation(nu))[0]
         if _blocking_pair_raw(ranks, assign) is not None:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))
@@ -451,4 +443,4 @@ def validate_extraction_claims(profile: Profile, kind: str) -> tuple[int, int]:
     if kind not in (SINGLE_PEAKED, SINGLE_DIPPED):
         raise ValueError("kind must be 'sp' or 'sd'")
     _check_family(profile, kind)
-    return _extraction_pass(_position_ranks(profile), kind)
+    return _extraction_pass(profile.prefs, profile.order, kind)

@@ -1,8 +1,8 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
 envy-graph, cycle-search and dominator oracles, the paused-walk helper,
 the literal witness, extractor and extraction-claim oracles, the kernel
-row by definition, the per-permutation extraction pass and the direct
-single-dipped oracles."""
+row by definition, the per-permutation extraction pass, the walk-free
+efficiency oracles and the direct single-dipped oracles."""
 
 import itertools
 from collections import deque
@@ -193,7 +193,7 @@ def witness_by_definition(profile: Profile, mu: Allocation, nu: Allocation) -> I
     """Label and colour the agents nu strictly improves over mu, each check
     on agents and house sets straight from the definition: the oracle for
     ``build_witness``, which runs the integer rule ``_trade_colors`` on
-    order positions."""
+    houses."""
     if not pareto_dominates(profile, nu, mu):
         raise ValueError("nu does not Pareto-dominate mu at this profile")
     pos = profile.order.position
@@ -285,15 +285,16 @@ def better_row_by_definition(ranking) -> list[int]:
     return row
 
 
-def extraction_pass_by_permutation(ranks, kind: str) -> tuple[int, int]:
+def extraction_pass_by_permutation(prefs, order: LinearOrder, kind: str) -> tuple[int, int]:
     """(dominated, validated) with one whole ``_envy_cycle`` walk per owner
     permutation and both rules run on every dominated one: the oracle for
-    ``efficiency._extraction_pass``, which places a position's holder only
+    ``efficiency._extraction_pass``, which places a house's holder only
     when its walk first pushes it and lets one check stand for every
     completion."""
-    n = len(ranks)
-    better = [better_row_by_definition(sorted(range(n), key=r.__getitem__)) for r in ranks]
-    by_house = [[row[p] for row in better] for p in range(n)]
+    n = len(prefs)
+    ranks = [p.rank_of for p in prefs]
+    better = [better_row_by_definition(p.ranking) for p in prefs]
+    by_house = [[row[h] for row in better] for h in range(n)]
     dest = [0] * n
     dominated = validated = 0
     for owner in itertools.permutations(range(n)):
@@ -301,14 +302,53 @@ def extraction_pass_by_permutation(ranks, kind: str) -> tuple[int, int]:
         if cycle is None:
             continue
         dominated += 1
-        p = cycle[-1]
-        for q in cycle:
-            dest[p] = q
-            p = q
-        slots, colors = _trade_colors(ranks, owner, dest, cycle)
+        h = cycle[-1]
+        for g in cycle:
+            dest[h] = g
+            h = g
+        slots, colors = _trade_colors(ranks, order, owner, dest, cycle)
         _blocking_labels(kind, ranks, owner, slots, colors)
         validated += 1
     return dominated, validated
+
+
+def serial_dictatorship_outcomes(prefs) -> set[tuple[int, ...]]:
+    """Every allocation serial dictatorship yields under some priority
+    order: agents in turn each take the best house still free. These are
+    exactly the Pareto-efficient allocations (Abdulkadiroglu & Sonmez 1998,
+    Lemma 1), so this oracle walks no envy digraph and scans no dominator;
+    the pick loop is written out here rather than shared with
+    ``rules.serial_dictatorship``."""
+    n = len(prefs)
+    outcomes = set()
+    for priority in itertools.permutations(range(n)):
+        taken = [False] * n
+        assigned = [-1] * n
+        for agent in priority:
+            for house in prefs[agent].ranking:
+                if not taken[house]:
+                    assigned[agent] = house
+                    taken[house] = True
+                    break
+        outcomes.add(tuple(assigned))
+    return outcomes
+
+
+def pair_efficient_by_scan(prefs) -> set[tuple[int, ...]]:
+    """Every allocation in which no two agents each strictly prefer the
+    other's house: a literal blocking-pair scan over all n! allocations."""
+    n = len(prefs)
+    ranks = [p.rank_of for p in prefs]
+    found = set()
+    for perm in itertools.permutations(range(n)):
+        blocked = any(
+            ranks[a][perm[b]] < ranks[a][perm[a]] and ranks[b][perm[a]] < ranks[b][perm[b]]
+            for a in range(n)
+            for b in range(a + 1, n)
+        )
+        if not blocked:
+            found.add(perm)
+    return found
 
 
 def single_dipped_by_scan(pref: Preference, order: LinearOrder) -> bool:

@@ -77,16 +77,17 @@ def test_family_sizes_are_powers_of_two(m):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_family_walks_match_sorted_mask_families(m):
     # The oracle builds each SP member from a bit mask of worst-to-best end
-    # picks and sorts; the walks must stream the same list, in the same
-    # lexicographic order, on shuffled orders.
+    # picks, reads it backwards for SD, and sorts; the walks must stream the
+    # same list, in the same lexicographic order, on shuffled orders.
     rng = random.Random(m)
     for _ in range(4):
         order = LinearOrder(tuple(rng.sample(range(m), m)))
-        sp = sorted(
-            (_sp_from_mask(order, mask) for mask in range(2 ** max(m - 1, 0))),
+        masks = range(2 ** max(m - 1, 0))
+        sd = sorted(
+            (Preference(tuple(_sp_from_mask(order, mask))) for mask in masks),
             key=lambda p: p.ranking,
         )
-        sd = sorted((p.reversed() for p in sp), key=lambda p: p.ranking)
+        sp = sorted((p.reversed() for p in sd), key=lambda p: p.ranking)
         assert [p.ranking for p in enumerate_single_peaked(order)] == [p.ranking for p in sp]
         assert [p.ranking for p in enumerate_single_dipped(order)] == [p.ranking for p in sd]
 
@@ -276,6 +277,29 @@ def test_sampling_streams_are_pinned():
         [(2, 0, 1), (2, 1, 0), (0, 1, 2)],
         [(1, 0, 2), (2, 0, 1), (2, 0, 1)],
     ]
+
+
+def test_a_sampled_single_dipped_profile_builds_one_preference_per_agent(monkeypatch):
+    # An SD draw takes the worst-first list of an SP draw as its ranking,
+    # so each agent's draw validates and indexes one ranking.
+    built = []
+    real = Preference.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Preference, "__post_init__", counting)
+    profile = sample_profile(DomainSpec.all_single_dipped(6), Instance.default(6), 3)
+    assert len(built) == 6
+    assert all(is_single_dipped(p, profile.order) for p in profile.prefs)
+
+
+def test_the_unrestricted_list_is_built_once_per_house_count():
+    spec = DomainSpec.unrestricted(5)
+    order = LinearOrder.from_left_to_right((2, 0, 4, 1, 3))
+    assert spec.admissible(order, 0) is spec.admissible(order, 1)
+    assert spec.admissible(order, 0) is spec.admissible(LinearOrder.identity(5), 4)
 
 
 def test_union_sampling_is_uniform_on_the_overlap():

@@ -13,7 +13,7 @@ import reallot.efficiency as efficiency
 from reallot.core import Instance, LinearOrder, Profile
 from reallot.domains import DomainSpec, sample_profile
 from reallot.efficiency import _extraction_pass, count_efficient
-from reallot.equivalence import _position_ranks, validate_extraction_claims
+from reallot.equivalence import validate_extraction_claims
 
 from conftest import extraction_pass_by_permutation
 
@@ -49,9 +49,8 @@ def test_every_profile_at_n3_and_n4_matches_the_per_permutation_pass(kind):
     dominated = 0
     for n in (3, 4):
         for profile in every_profile(n, kind):
-            ranks = _position_ranks(profile)
-            got = _extraction_pass(ranks, kind)
-            assert got == extraction_pass_by_permutation(ranks, kind)
+            got = _extraction_pass(profile.prefs, profile.order, kind)
+            assert got == extraction_pass_by_permutation(profile.prefs, profile.order, kind)
             dominated += got[0]
     assert dominated > 10_000
 
@@ -59,29 +58,30 @@ def test_every_profile_at_n3_and_n4_matches_the_per_permutation_pass(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_sampled_profiles_at_n5_to_n7_match_the_per_permutation_pass(kind):
     for profile in sampled_profiles(kind):
-        ranks = _position_ranks(profile)
         got = validate_extraction_claims(profile, kind)
-        assert got == extraction_pass_by_permutation(ranks, kind)
+        assert got == extraction_pass_by_permutation(profile.prefs, profile.order, kind)
         assert 0 < got[0] < math.factorial(profile.n)
 
 
 def test_both_passes_reject_the_same_profiles_outside_the_family():
     # On unrestricted profiles a dominated allocation can have no pair to
     # extract; both passes must then raise, with the same error type.
+    # Under a scrambled order houses and positions differ.
     raised = 0
     for n in (3, 4, 5):
-        inst = Instance.default(n)
-        for seed in range(40):
-            ranks = _position_ranks(sample_profile(DomainSpec.unrestricted(n), inst, seed))
-            for kind in KINDS:
-                outcomes = []
-                for run in (_extraction_pass, extraction_pass_by_permutation):
-                    try:
-                        outcomes.append(run(ranks, kind))
-                    except RuntimeError:
-                        outcomes.append(RuntimeError)
-                assert outcomes[0] == outcomes[1]
-                raised += outcomes[0] is RuntimeError
+        for order in orders(n):
+            inst = Instance.default(n, order)
+            for seed in range(40):
+                profile = sample_profile(DomainSpec.unrestricted(n), inst, seed)
+                for kind in KINDS:
+                    outcomes = []
+                    for run in (_extraction_pass, extraction_pass_by_permutation):
+                        try:
+                            outcomes.append(run(profile.prefs, order, kind))
+                        except RuntimeError:
+                            outcomes.append(RuntimeError)
+                    assert outcomes[0] == outcomes[1]
+                    raised += outcomes[0] is RuntimeError
     assert raised > 20
 
 
