@@ -214,14 +214,8 @@ def render_profile_table(
             is_mu = mu is not None and mu.assign[a] == house
             is_nu = nu is not None and nu.assign[a] == house
             if color:
-                if is_mu and is_nu:
-                    cell = f"{RED}{BLUE}{name}{RESET}"
-                elif is_mu:
-                    cell = f"{BLUE}{name}{RESET}"
-                elif is_nu:
-                    cell = f"{RED}{name}{RESET}"
-                else:
-                    cell = name
+                tint = (RED if is_nu else "") + (BLUE if is_mu else "")
+                cell = f"{tint}{name}{RESET}" if tint else name
             else:
                 tags = ("[mu]" if is_mu else "") + ("[nu]" if is_nu else "")
                 cell = f"{name} {tags}" if tags else name
@@ -328,10 +322,7 @@ def cmd_verify(args) -> int:
     _check_sweep_agents(args.n)
     inst = Instance.default(args.n)
     spec = DomainSpec.parse(args.domain, args.n)
-    if args.random is not None:
-        scope = Scope.randomized(args.seed, args.random)
-    else:
-        scope = Scope.exhaustive()
+    scope = Scope.exhaustive() if args.random is None else Scope.randomized(args.seed, args.random)
     report = verify_equivalence(spec, args.n, scope, jobs=args.jobs)
     print(f"domain: {spec.describe()}")
     print(f"n: {args.n}")
@@ -545,13 +536,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -44,7 +44,14 @@ BUDGET_ENV_VAR = "REALLOT_BUDGET"
 def _resolve_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    text = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET))
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _spend(need: int, unit: str, what: str, budget: int | None):

@@ -7,10 +7,10 @@ consume. Enumeration is constructive: a best-first walk over the
 order's intervals, out from each peak for SP and in from both ends for
 SD, streams the 2^(m-1) family members in lexicographic order without
 touching the m! permutation space. A :class:`DomainSpec` is a tuple of
-Cartesian blocks, and ``_profiles`` generates its profiles. A
-:class:`Scope` says how much of a spec a sweep covers: its profiles
-(``seeds``) and their count (``size``), which every sweep checks against
-its budget before it draws a seed or lists a preference.
+Cartesian blocks, and ``_profiles`` lists or draws its profiles as
+preference tuples. A :class:`Scope` says how much of a spec a sweep
+covers: its profiles (``seeds``) and their count (``size``), which a
+sweep checks against its budget before it draws or lists any.
 """
 
 from __future__ import annotations
@@ -442,40 +442,48 @@ def _swept_before(order: LinearOrder, k: int) -> frozenset:
 
 
 def sample_profile(spec: DomainSpec, instance: Instance, seed: int) -> Profile:
-    """One profile drawn uniformly from the profiles the spec denotes.
-
-    Deterministic for a fixed seed. A coin picks the union's block, and
-    each agent draws uniformly within it. A draw that ``_swept_before``
-    names lies in an earlier block too, so it is made again from the coin.
-    """
+    """One uniform draw from the spec's profiles, fixed by the seed."""
     if spec.n != instance.n:
         raise ValueError("spec and instance disagree on the agent count")
-    rng = random.Random(seed)
-    order = instance.order
-    while True:
-        k = rng.getrandbits(1) if len(spec.blocks) > 1 else 0
-        skip = _swept_before(order, k)
-        prefs = tuple(_entry(e).draw(order, rng) for e in spec.blocks[k])
-        if not all(p in skip for p in prefs):
-            return Profile(instance, prefs)
+    (prefs,) = _profiles(spec, instance, (seed,))
+    return Profile(instance, prefs)
 
 
 def _profiles(
     spec: DomainSpec, instance: Instance, seeds: Iterable[int] | None = None
-) -> Iterator[Profile]:
-    """The one profile generator: every profile of the spec, block by block
-    in ``itertools.product`` order, each skipping what ``_swept_before``
-    names; or, given seeds, the ``sample_profile`` of each seed in turn."""
-    if seeds is not None:
-        for seed in seeds:
-            yield sample_profile(spec, instance, seed)
-        return
+) -> Iterator[tuple[Preference, ...]]:
+    """The one profile generator, as preference tuples: the spec's profiles
+    block by block in ``itertools.product`` order, or one uniform draw per
+    seed, a coin picking the union's block. A profile that ``_swept_before``
+    names lies in an earlier block too, so it is skipped or drawn again.
+    Explicit lists are checked once to range over all houses, as in ``Profile``."""
     order = instance.order
-    for k, block in enumerate(spec.blocks):
-        skip = _swept_before(order, k)
-        for prefs in itertools.product(*(_entry(e).prefs(order) for e in block)):
-            if not all(p in skip for p in prefs):
-                yield Profile(instance, prefs)
+    explicit = [e for block in spec.blocks for e in block if not isinstance(e, str)]
+    if any(p.m != instance.n for e in explicit for p in e):
+        raise ValueError("every preference must range over all houses")
+    if seeds is None:
+        for k, block in enumerate(spec.blocks):
+            skip = _swept_before(order, k)
+            for prefs in itertools.product(*(_entry(e).prefs(order) for e in block)):
+                if not skip or not all(p in skip for p in prefs):
+                    yield prefs
+        return
+    for seed in seeds:
+        rng = random.Random(seed)
+        while True:
+            k = rng.getrandbits(1) if len(spec.blocks) > 1 else 0
+            skip = _swept_before(order, k)
+            prefs = tuple(_entry(e).draw(order, rng) for e in spec.blocks[k])
+            if not skip or not all(p in skip for p in prefs):
+                break
+        yield prefs
+
+
+def _check_trials(trials: int) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"trial count must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
 
 
 def _trial_seeds(seed: int | None, trials: int) -> list[int]:
@@ -497,8 +505,7 @@ class Scope:
         if self.kind == "randomized":
             if self.seed is None or not self.trials:
                 raise ValueError("randomized scope needs a seed and a trial count")
-            if self.trials < 1:
-                raise ValueError(f"trial count must be at least 1, got {self.trials}")
+            _check_trials(self.trials)
 
     @classmethod
     def exhaustive(cls) -> Scope:

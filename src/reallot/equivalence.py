@@ -33,6 +33,7 @@ from .core import (
 from .domains import (
     DomainSpec,
     Scope,
+    _check_trials,
     _entry,
     _profiles,
     _swept_before,
@@ -171,15 +172,16 @@ def _gap_allocations(prefs) -> list[tuple[int, ...]]:
     return [assign for assign, efficient in found if not efficient]
 
 
-def _certified(profile: Profile, gaps) -> list[Violation]:
+def _certified(instance: Instance, prefs, gaps) -> list[Violation]:
     """One violation per gap allocation, its dominator from one walk of the
     brute-force oracle over all the gaps, independent of the cycle checker
     that spotted them; pair-efficiency is re-checked per allocation."""
     if not gaps:
         return []
-    ranks = [p.rank_of for p in profile.prefs]
+    profile = Profile(instance, prefs)
+    ranks = [p.rank_of for p in prefs]
     found: list[Violation] = []
-    for assign, nu in zip(gaps, _first_dominators(profile.prefs, gaps)):
+    for assign, nu in zip(gaps, _first_dominators(prefs, gaps)):
         if nu is None:
             raise RuntimeError("cycle checker and brute-force oracle disagree")
         mu = Allocation(assign)
@@ -190,20 +192,20 @@ def _certified(profile: Profile, gaps) -> list[Violation]:
     return found
 
 
-def _definitional_spot_check(profiles):
+def _definitional_spot_check(instance: Instance, profiles):
     # Pair-inefficiency implies Pareto-inefficiency by definition: swapping
     # the blocking pair's houses dominates. Asserted once per run on the
-    # first profile in scope that has any blocking pair at all; profiles
-    # are read lazily, and a scope without one is read once.
-    for profile in profiles:
-        ranks = [p.rank_of for p in profile.prefs]
-        for perm in itertools.permutations(range(profile.n)):
+    # first profile in scope that has any blocking pair at all; preference
+    # tuples are read lazily, and a scope without one is read once.
+    for prefs in profiles:
+        ranks = [p.rank_of for p in prefs]
+        for perm in itertools.permutations(range(instance.n)):
             pair = _blocking_pair_raw(ranks, perm)
             if pair is None:
                 continue
             mu = Allocation(perm)
             swapped = apply_cycle(mu, pair)
-            if not pareto_dominates(profile, swapped, mu):
+            if not pareto_dominates(Profile(instance, prefs), swapped, mu):
                 raise RuntimeError("blocking-pair swap failed to dominate")
             return
 
@@ -282,7 +284,7 @@ def _scan_orbit_task(args) -> tuple[int, list[Violation]]:
                     prefs[b] = lst[held[j]]
                     source[b] = ag[p[j]]
             moved = sorted(tuple(house[gap[s]] for s in source) for gap in gaps)
-            found += _certified(Profile(instance, tuple(prefs)), moved)
+            found += _certified(instance, tuple(prefs), moved)
         return found
 
     profiles = 0
@@ -313,9 +315,10 @@ def _scan_orbit_task(args) -> tuple[int, list[Violation]]:
 def _scan_random_task(args) -> tuple[int, list[Violation]]:
     """Scan the sampled profile of each seed."""
     spec, n, seeds = args
+    instance = Instance.default(n)
     violations: list[Violation] = []
-    for profile in _profiles(spec, Instance.default(n), seeds):
-        violations += _certified(profile, _gap_allocations(profile.prefs))
+    for prefs in _profiles(spec, instance, seeds):
+        violations += _certified(instance, prefs, _gap_allocations(prefs))
     return len(seeds), violations
 
 
@@ -397,7 +400,7 @@ def verify_equivalence(
         tasks = [(spec, n, seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)]
         task_fn = _scan_random_task
 
-    _definitional_spot_check(_profiles(spec, instance, seeds))
+    _definitional_spot_check(instance, _profiles(spec, instance, seeds))
 
     results = _run_tasks(task_fn, tasks, jobs)
     profiles = sum(r[0] for r in results)
@@ -423,15 +426,14 @@ def find_gap_witness(
     as a sweep's violations are, its ``nu`` from the brute-force oracle."""
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
-    if trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {trials}")
+    _check_trials(trials)
     instance = Instance.default(n)
     fits = spec.space_size(instance.order) * math.factorial(n) <= _resolve_budget(budget)
-    for profile in _profiles(spec, instance, None if fits else _trial_seeds(seed, trials)):
-        gaps = _gap_allocations(profile.prefs)
+    for prefs in _profiles(spec, instance, None if fits else _trial_seeds(seed, trials)):
+        gaps = _gap_allocations(prefs)
         if gaps:
-            (found,) = _certified(profile, gaps[:1])
-            return profile, found.mu, found.witness.nu
+            (found,) = _certified(instance, prefs, gaps[:1])
+            return found.profile, found.mu, found.witness.nu
     return None
 
 

@@ -9,8 +9,8 @@ TTC on all-single-dipped profiles.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -163,28 +163,22 @@ def check_strategy_proofness(
     entries = [spec._agent_entry(a) for a in range(n)]
     sizes = [e.size(instance.order) for e in entries]
     per_profile = sum(s - 1 for s in sizes)
-    count = scope.size(spec, instance.order)
-    _spend(count * per_profile, "cases", "misreport sweep", budget)
+    _spend(scope.size(spec, instance.order) * per_profile, "cases", "misreport sweep", budget)
     lists = [e.prefs(instance.order) for e in entries]
 
-    # A profile is coded as sum(idx[a] * strides[a]) over its list indices,
-    # the last agent fastest, so codes run in itertools.product order.
+    # A profile's code is the mixed-radix number sum(idx[a] * strides[a]) of
+    # its list indices. The index dicts are keyed by ranking, whose hash runs
+    # in C, not by the Preference, whose dataclass hash is Python code.
     strides = [math.prod(sizes[a + 1 :]) for a in range(n)]
-    seeds = scope.seeds()
-    if seeds is None:
-        truthful = enumerate(itertools.product(*lists))
-    else:
-        index = [{p: j for j, p in enumerate(prefs)} for prefs in lists]
-        truthful = (
-            (sum(index[a][p] * strides[a] for a, p in enumerate(s.prefs)), s.prefs)
-            for s in _profiles(spec, instance, seeds)
-        )
+    index = [{p.ranking: j for j, p in enumerate(prefs)} for prefs in lists]
 
     cache: dict[int, tuple[int, ...]] = {}  # code -> the rule's assignment
     profiles = 0
     violations: list[Manipulation] = []
-    for code, prefs in truthful:
+    for prefs in _profiles(spec, instance, scope.seeds()):
         profiles += 1
+        idx = [index[a][p.ranking] for a, p in enumerate(prefs)]
+        code = sum(map(operator.mul, idx, strides))
         outcome = cache.get(code)
         if outcome is None:
             cache[code] = outcome = rule(Profile(instance, prefs)).assign
@@ -193,7 +187,7 @@ def check_strategy_proofness(
             rank = prefs[agent].rank_of
             if rank[mine] == 0:
                 continue  # no lie beats the top house: its cases are decided
-            own = code // stride % sizes[agent]
+            own = idx[agent]
             head, tail = prefs[:agent], prefs[agent + 1 :]
             for j, pref in enumerate(lists[agent]):
                 if j == own:
@@ -233,8 +227,9 @@ def check_corollary_sd(
     _spend(scope.size(spec, instance.order), "profiles", "corollary sweep", budget)
     profiles = 0
     failures: list[tuple[Profile, Allocation, str]] = []
-    for profile in _profiles(spec, instance, scope.seeds()):
+    for prefs in _profiles(spec, instance, scope.seeds()):
         profiles += 1
+        profile = Profile(instance, prefs)
         mu = ttc(profile)
         if find_blocking_pair(profile, mu) is not None:
             failures.append((profile, mu, "blocking pair"))

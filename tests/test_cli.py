@@ -538,6 +538,26 @@ def test_enum_budget_follows_the_environment(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: need at least one house\n"
 
 
+def test_a_malformed_budget_names_the_variable(monkeypatch, capsys):
+    # Not a count of checks: an input error (exit 2) that says which
+    # variable is wrong, not int()'s message or a refusal of every sweep.
+    sweeps = (["verify", "--domain", "sp", "--n", "3", "--exhaustive"], ["enum", "--sp", "--m", "3"])
+    for value in ("abc", "1e9", "-5"):
+        monkeypatch.setenv("REALLOT_BUDGET", value)
+        for args in sweeps:
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: REALLOT_BUDGET must be a non-negative integer, got '{value}'\n"
+            )
+    # Any spelling int() reads as a count is still a budget.
+    for value in ("+7", "0_7", " 7 "):
+        monkeypatch.setenv("REALLOT_BUDGET", value)
+        assert main(["enum", "--sp", "--m", "4"]) == 3
+        assert capsys.readouterr().err == "error: enum needs 2^3 preferences, budget is 7\n"
+
+
 def test_synth_command_writes_expected_bundle(tmp_path, capsys):
     out_dir = tmp_path / "bundle"
     code = main(

@@ -338,7 +338,7 @@ def test_generator_yields_each_profile_of_the_spec_once():
     # seeds, the generator yields their samples in turn.
     inst = Instance.default(3)
     every = list(enumerate_all_preferences(3))
-    union = [p.prefs for p in _profiles(DomainSpec.union(3), inst)]
+    union = list(_profiles(DomainSpec.union(3), inst))
     literal = [
         prefs
         for prefs in itertools.product(every, repeat=3)
@@ -350,10 +350,40 @@ def test_generator_yields_each_profile_of_the_spec_once():
     assert all(all(is_single_peaked(p, inst.order) for p in prefs) for prefs in union[:64])
     mixed = DomainSpec.parse("sp,all,sd", 3)
     lists = [mixed.admissible(inst.order, a) for a in range(3)]
-    assert [p.prefs for p in _profiles(mixed, inst)] == list(itertools.product(*lists))
+    assert list(_profiles(mixed, inst)) == list(itertools.product(*lists))
     seeds = [5, 1, 5, 9]
     for spec in (mixed, DomainSpec.union(3)):
-        assert list(_profiles(spec, inst, seeds)) == [sample_profile(spec, inst, s) for s in seeds]
+        drawn = [sample_profile(spec, inst, s).prefs for s in seeds]
+        assert list(_profiles(spec, inst, seeds)) == drawn
+
+
+def test_ranking_reversal_maps_sp_profiles_onto_sd_profiles():
+    # Read worst to best, an SP ranking is SD under the same order, so
+    # flipping every agent's kind maps a spec's profiles one to one onto
+    # the flipped spec's. An SP and an SD draw read the same mask, so the
+    # same seed draws the reversed profile. `all` and the union are left
+    # out: neither draw is reversal-symmetric per seed.
+    flip = {"sp": "sd", "sd": "sp"}
+
+    def reversed_rankings(prefs):
+        return tuple(p.ranking[::-1] for p in prefs)
+
+    for n in range(3, 7):
+        scrambled = list(range(n))
+        random.Random(n).shuffle(scrambled)
+        for order in (LinearOrder.identity(n), LinearOrder.from_left_to_right(scrambled)):
+            inst = Instance.default(n, order)
+            for kinds in (["sp"] * n, ["sd"] * n, [("sp", "sd")[a % 2] for a in range(n)]):
+                spec = DomainSpec(kinds)
+                image = DomainSpec([flip[k] for k in kinds])
+                seeds = range(40)
+                drawn = [reversed_rankings(p) for p in _profiles(spec, inst, seeds)]
+                assert drawn == [tuple(p.ranking for p in q) for q in _profiles(image, inst, seeds)]
+                if n > 4:
+                    continue
+                listed = {reversed_rankings(p) for p in _profiles(spec, inst)}
+                assert len(listed) == spec.space_size(order) == image.space_size(order)
+                assert listed == {tuple(p.ranking for p in q) for q in _profiles(image, inst)}
 
 
 def test_unrestricted_sampling_is_uniform():

@@ -34,6 +34,7 @@ from reallot.equivalence import (
     validate_extraction_claims,
     verify_equivalence,
 )
+from reallot.rules import check_corollary_sd
 
 from conftest import EnvyGraph, profile_from
 
@@ -240,7 +241,7 @@ def test_clean_sweeps_never_reach_the_dominator_scan(monkeypatch):
     scan = equivalence._first_dominators
     monkeypatch.setattr(equivalence, "_first_dominators", spy)
     # No gaps: nothing of the profile is read, not even its rank rows.
-    assert equivalence._certified(object(), []) == []
+    assert equivalence._certified(object(), object(), []) == []
     for spec, n, scope in (("sp", 4, Scope.exhaustive()), ("sd", 6, Scope.randomized(5, 200))):
         assert verify_equivalence(DomainSpec.parse(spec, n), n, scope).ok
     assert calls == []
@@ -249,6 +250,28 @@ def test_clean_sweeps_never_reach_the_dominator_scan(monkeypatch):
     report = verify_equivalence(DomainSpec.parse("sp,sd,sp", 3), 3, Scope.exhaustive())
     assert len(calls) == len({v.profile for v in report.violations}) > 1
     assert sum(calls) == len(report.violations)
+
+
+def test_sweeps_build_a_profile_only_to_report_it_or_to_run_a_rule(monkeypatch):
+    # The generator yields preference tuples; a Profile is validated where
+    # a violation is returned, where the spot check compares allocations,
+    # or where a rule runs on it.
+    built = []
+    real = Profile.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Profile, "__post_init__", counting)
+    report = verify_equivalence(DomainSpec.all_single_peaked(5), 5, Scope.randomized(5, 50))
+    assert report.ok and len(built) <= 1
+    built.clear()
+    spec = DomainSpec.all_single_peaked(6)
+    assert find_gap_witness(spec, 6, seed=2, trials=40, budget=10**8) is None  # sampled
+    assert built == []
+    corollary = check_corollary_sd(4, Scope.exhaustive())
+    assert corollary.ok and len(built) == corollary.profiles_checked == 8**4
 
 
 def _unreduced_exhaustive_sweep(spec, n):
@@ -268,9 +291,7 @@ def _unreduced_exhaustive_sweep(spec, n):
             if dedup and all(p in monotone for p in prefs):
                 continue
             profiles += 1
-            violations += equivalence._certified(
-                Profile(inst, prefs), equivalence._gap_allocations(prefs)
-            )
+            violations += equivalence._certified(inst, prefs, equivalence._gap_allocations(prefs))
     violations.sort(key=lambda v: (tuple(p.ranking for p in v.profile.prefs), v.mu.assign))
     return EquivalenceReport(
         spec, Scope.exhaustive(), profiles, profiles * math.factorial(n), tuple(violations)
@@ -563,6 +584,10 @@ def test_randomized_scope_needs_a_positive_trial_count():
         with pytest.raises(ValueError, match=f"trial count must be at least 1, got {trials}"):
             Scope.randomized(seed=1, trials=trials)
     assert Scope.randomized(seed=1, trials=1).trials == 1
+    # Refused when built, not when the seeds are drawn; True is no count.
+    for trials in (2.5, "3", True):
+        with pytest.raises(ValueError, match=f"trial count must be an int, got {trials!r}"):
+            Scope.randomized(seed=1, trials=trials)
 
 
 def test_find_gap_witness_mixed_and_clean(gap_example):
@@ -592,6 +617,21 @@ def test_find_gap_witness_refuses_a_trial_count_below_one():
         for budget in (None, 50):  # the exhaustive and the sampled path
             with pytest.raises(ValueError, match=f"trial count must be at least 1, got {trials}"):
                 find_gap_witness(spec, 3, seed=1, trials=trials, budget=budget)
+    for trials in (2.5, "3", True):  # the check Scope makes
+        with pytest.raises(ValueError, match=f"trial count must be an int, got {trials!r}"):
+            find_gap_witness(spec, 3, seed=1, trials=trials)
+
+
+def test_sweeps_refuse_an_explicit_list_over_other_houses():
+    # Sweeps read preference tuples, not profiles, so the house count that
+    # Profile checks is checked once per sweep instead.
+    four, two = Preference((0, 1, 2, 3)), Preference((0, 1))
+    for p in (four, two):
+        spec = DomainSpec([[p]] * 3)
+        with pytest.raises(ValueError, match="every preference must range over all houses"):
+            verify_equivalence(spec, 3, Scope.randomized(1, 5))
+        with pytest.raises(ValueError, match="every preference must range over all houses"):
+            find_gap_witness(spec, 3, seed=1)
 
 
 @pytest.fixture

@@ -25,13 +25,13 @@ def assert_sweep_matches_the_oracle(text: str, n: int, scope: Scope) -> int:
     for v in report.violations:
         reported.setdefault(v.profile.prefs, set()).add(v.mu.assign)
     gaps = 0
-    for profile in _profiles(spec, Instance.default(n), scope.seeds()):
-        found = _pair_efficient([p.better for p in profile.prefs])
-        pair = pair_efficient_by_scan(profile.prefs)
-        pareto = serial_dictatorship_outcomes(profile.prefs)
+    for prefs in _profiles(spec, Instance.default(n), scope.seeds()):
+        found = _pair_efficient([p.better for p in prefs])
+        pair = pair_efficient_by_scan(prefs)
+        pareto = serial_dictatorship_outcomes(prefs)
         assert {assign for assign, _ in found} == pair
         assert {assign for assign, efficient in found if efficient} == pareto
-        assert pair - pareto == reported.get(profile.prefs, set())
+        assert pair - pareto == reported.get(prefs, set())
         gaps += len(pair - pareto)
     assert report.ok == (gaps == 0)
     return gaps
