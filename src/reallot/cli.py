@@ -18,7 +18,9 @@ import re
 import sys
 
 # Each command imports what it runs, so that a one-instance check does not
-# load the sweeps, the rules or the synthesizers.
+# load the sweeps, the rules or the synthesizers; the commands that read
+# files import only after the files parse, so malformed input loads core
+# alone.
 from .core import (
     SINGLE_DIPPED,
     SINGLE_PEAKED,
@@ -277,10 +279,10 @@ def _write_all(folder: str, files: dict[str, str]):
 
 
 def cmd_check(args) -> int:
-    from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
-
     profile = parse_instance(_read(args.instance))
     allocation = parse_allocation(_read(args.allocation), profile.instance)
+    from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
+
     inst = profile.instance
     run_all = not (args.pair or args.pareto or args.ir)
     failed = False
@@ -412,9 +414,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ttc(args) -> int:
+    profile = parse_instance(_read(args.instance))
     from .rules import ttc
 
-    profile = parse_instance(_read(args.instance))
     allocation = ttc(profile)
     text = serialize_allocation(profile.instance, allocation)
     if args.out:
@@ -426,9 +428,9 @@ def cmd_ttc(args) -> int:
 
 
 def cmd_count(args) -> int:
+    profile = parse_instance(_read(args.instance))
     from .efficiency import count_efficient
 
-    profile = parse_instance(_read(args.instance))
     pair_count, pareto_count = count_efficient(profile)
     header = ("pair_count", "pareto_count")
     width = max(len(header[0]), len(str(pair_count)))

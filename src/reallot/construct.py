@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Allocation, Instance, LinearOrder, Preference, Profile
+from .core import Allocation, Instance, LinearOrder, Preference, Profile, _frozen
 from .domains import (
     NOT_SINGLE_PEAKED,
     ViolationWitness,
@@ -29,7 +28,7 @@ from .domains import (
 from .efficiency import find_blocking_pair, find_improving_cycle, pareto_dominates
 
 
-@dataclass(frozen=True)
+@_frozen
 class CounterexampleBundle:
     """A synthesized gap: profile, the stuck allocation mu, a dominating
     nu, the three designated agents, the filler bijection, and the

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 
@@ -62,12 +61,51 @@ def _spend(need: int, unit: str, what: str, budget: int | None):
         raise BudgetError(f"{what} needs {need} {unit}, budget is {budget}")
 
 
+def _refuse(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def _frozen(cls):
+    """The value-type decorator: what ``dataclass(frozen=True)`` gives a
+    class, without loading ``dataclasses`` and what it imports. The fields
+    are the class's annotations, a class attribute being a field's default.
+    ``__init__`` sets them and ends in ``__post_init__``. ``==`` compares
+    field tuples within one class and ``hash`` is the field tuple's, the
+    dataclass rules, so hashes, set orders and reprs stay the ones
+    dataclasses gave. A method the class writes itself, as
+    ``DomainSpec.__init__``, is kept. Each class gets its own generated
+    methods, so no call loops over field names."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f"_d_{f}": cls.__dict__[f] for f in names if f in cls.__dict__}
+    params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in defaults else f", {f}" for f in names)
+    sets = "".join(f"    _set(self, {f!r}, {f})\n" for f in names)
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    mine, theirs = ("".join(f"{who}.{f}," for f in names) for who in ("self", "other"))
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in names)
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec(
+        f"def __init__(self{params}):\n{sets}{post}"
+        "def __eq__(self, other):\n"
+        f"    if other.__class__ is self.__class__:\n        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+        f'def __repr__(self):\n    return f"{cls.__qualname__}({shown})"\n',
+        namespace,
+    )
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if name not in cls.__dict__:
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, namespace[name])
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
 # Domain-spec entries naming the two structured preference families.
 SINGLE_PEAKED = "sp"
 SINGLE_DIPPED = "sd"
 
 
-@dataclass(frozen=True)
+@_frozen
 class LinearOrder:
     """A strict total order over houses.
 
@@ -76,7 +114,6 @@ class LinearOrder:
     """
 
     position: tuple[int, ...]
-    by_rank: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pos = tuple(self.position)
@@ -126,7 +163,7 @@ class LinearOrder:
         return LinearOrder(tuple(n - 1 - p for p in self.position))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Preference:
     """A strict ranking of all houses, best first.
 
@@ -136,7 +173,6 @@ class Preference:
     """
 
     ranking: tuple[int, ...]
-    rank_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ranking = tuple(self.ranking)
@@ -194,7 +230,7 @@ class Preference:
         return Preference(tuple(reversed(self.ranking)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Instance:
     """n agents, n houses, an endowment bijection, and the prior order.
 
@@ -257,7 +293,7 @@ class Instance:
             raise ValueError(f"unknown house name: {name}") from None
 
 
-@dataclass(frozen=True)
+@_frozen
 class Profile:
     """One preference per agent over the instance's houses."""
 
@@ -292,7 +328,7 @@ class Profile:
         return Profile(self.instance, tuple(prefs))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Allocation:
     """A bijection agents -> houses, stored as ``assign[agent] = house``."""
 

@@ -19,10 +19,9 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile
+from .core import SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile, _frozen
 
 UNRESTRICTED = "all"
 
@@ -30,7 +29,7 @@ NOT_SINGLE_PEAKED = "not-single-peaked"
 NOT_SINGLE_DIPPED = "not-single-dipped"
 
 
-@dataclass(frozen=True)
+@_frozen
 class ViolationWitness:
     """Three houses certifying that a preference is outside a family.
 
@@ -311,7 +310,7 @@ def _entry(entry) -> _Entry:
     )
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class DomainSpec:
     """Which preferences each agent may hold.
 
@@ -468,12 +467,15 @@ def _profiles(
                 if not skip or not all(p in skip for p in prefs):
                     yield prefs
         return
+    # Resolved once per call, not once per draw.
+    skips = [_swept_before(order, k) for k in range(len(spec.blocks))]
+    draws = [[_entry(e).draw for e in block] for block in spec.blocks]
     for seed in seeds:
         rng = random.Random(seed)
         while True:
-            k = rng.getrandbits(1) if len(spec.blocks) > 1 else 0
-            skip = _swept_before(order, k)
-            prefs = tuple(_entry(e).draw(order, rng) for e in spec.blocks[k])
+            k = rng.getrandbits(1) if len(draws) > 1 else 0
+            skip = skips[k]
+            prefs = tuple(draw(order, rng) for draw in draws[k])
             if not skip or not all(p in skip for p in prefs):
                 break
         yield prefs
@@ -491,7 +493,7 @@ def _trial_seeds(seed: int | None, trials: int) -> list[int]:
     return [master.getrandbits(64) for _ in range(trials)]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Scope:
     """How much of a domain to sweep: everything, or sampled profiles."""
 

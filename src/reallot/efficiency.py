@@ -21,16 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, LinearOrder, Preference, Profile
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, LinearOrder, Preference, Profile, _frozen
 
 RED = "red"
 BLUE = "blue"
 
 
-@dataclass(frozen=True)
+@_frozen
 class ImprovingCycle:
     """Agents (a1..ak), each ai taking the house mu assigns to a(i+1)."""
 

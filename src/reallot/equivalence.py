@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from .core import (
     BRUTE_FORCE_MAX_AGENTS,
@@ -27,6 +26,7 @@ from .core import (
     BudgetError,
     Instance,
     Profile,
+    _frozen,
     _resolve_budget,
     _spend,
 )
@@ -52,7 +52,7 @@ from .efficiency import (
     pareto_dominates,
 )
 
-@dataclass(frozen=True)
+@_frozen
 class ImprovementWitness:
     """A dominating allocation plus the labeled, colored trade set.
 
@@ -143,7 +143,7 @@ def extract_blocking_pair_sd(
     return _extract_pair(profile, mu, witness, SINGLE_DIPPED)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Violation:
     """A pair-efficient allocation that another allocation dominates."""
 
@@ -152,7 +152,7 @@ class Violation:
     witness: ImprovementWitness
 
 
-@dataclass(frozen=True)
+@_frozen
 class EquivalenceReport:
     domain: DomainSpec
     scope: Scope

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Allocation, Instance, Preference, Profile, _spend
-from .domains import DomainSpec, Scope, _profiles
-# is_individually_rational sits with the other allocation checks and is
-# re-exported here.
-from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
+# The sweep harnesses import ``domains`` and ``efficiency`` when they run,
+# so that ``reallot ttc`` loads the rule alone.
+from .core import Allocation, Instance, Preference, Profile, _frozen, _spend
 
 
-@dataclass(frozen=True)
+@_frozen
 class Rule:
     """A named total function from profiles to allocations."""
 
@@ -112,7 +109,7 @@ def worst_house_dictatorship() -> Rule:
     return Rule("worst-house-dictatorship", run)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Manipulation:
     """One profitable misreport found by the harness."""
 
@@ -123,7 +120,7 @@ class Manipulation:
     misreport_house: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class StrategyProofnessReport:
     rule_name: str
     profiles_checked: int
@@ -156,6 +153,8 @@ def check_strategy_proofness(
     are memoised by code, so the rule runs at most once per distinct
     profile.
     """
+    from .domains import _profiles
+
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
     instance = Instance.default(n)
@@ -168,7 +167,7 @@ def check_strategy_proofness(
 
     # A profile's code is the mixed-radix number sum(idx[a] * strides[a]) of
     # its list indices. The index dicts are keyed by ranking, whose hash runs
-    # in C, not by the Preference, whose dataclass hash is Python code.
+    # in C, not by the Preference, whose generated hash is Python code.
     strides = [math.prod(sizes[a + 1 :]) for a in range(n)]
     index = [{p.ranking: j for j, p in enumerate(prefs)} for prefs in lists]
 
@@ -204,7 +203,7 @@ def check_strategy_proofness(
     return StrategyProofnessReport(rule.name, profiles, profiles * per_profile, tuple(violations))
 
 
-@dataclass(frozen=True)
+@_frozen
 class CorollaryReport:
     """TTC outputs checked for pair- and Pareto-efficiency on all-SD
     profiles."""
@@ -222,6 +221,9 @@ def check_corollary_sd(
 ) -> CorollaryReport:
     """On every all-single-dipped profile in scope, TTC's output must have
     no blocking pair and no improving cycle."""
+    from .domains import DomainSpec, _profiles
+    from .efficiency import find_blocking_pair, find_improving_cycle
+
     spec = DomainSpec.all_single_dipped(n)
     instance = Instance.default(n)
     _spend(scope.size(spec, instance.order), "profiles", "corollary sweep", budget)

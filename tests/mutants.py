@@ -110,6 +110,20 @@ CATALOGUE = (
         "        for k, block in enumerate(spec.blocks[:1]):\n            skip = _swept_before(order, k)\n            for prefs",
         ("tests/test_domains.py::test_generator_yields_each_profile_of_the_spec_once",),
     ),
+    Mutant(
+        "value-hash-over-no-fields",
+        "core.py",
+        "return hash(({mine}))",
+        "return hash(())",
+        ("tests/test_core.py::test_value_types_keep_the_frozen_dataclass_contract",),
+    ),
+    Mutant(
+        "value-eq-without-class-check",
+        "core.py",
+        "if other.__class__ is self.__class__:",
+        "if True:",
+        ("tests/test_core.py::test_value_types_keep_the_frozen_dataclass_contract",),
+    ),
 )
 
 

@@ -29,6 +29,7 @@ from reallot.efficiency import (
     brute_force_dominator,
     find_blocking_pair,
     find_improving_cycle,
+    is_individually_rational,
     pareto_dominates,
 )
 from reallot.equivalence import (
@@ -43,7 +44,6 @@ from reallot.rules import (
     Rule,
     check_corollary_sd,
     check_strategy_proofness,
-    is_individually_rational,
     ttc,
 )
 

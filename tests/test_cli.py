@@ -408,6 +408,23 @@ def test_every_public_name_resolves():
         reallot.EnvyGraph
 
 
+# The heavy stdlib modules the value types used to load through
+# ``dataclasses``, as a second line: those of them already loaded.
+HEAVY = "print(*sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+
+
+def _run_main(argv, cwd) -> subprocess.CompletedProcess:
+    """``reallot.cli.main`` in a fresh interpreter, its exit code printed to
+    stderr and its stdout swallowed; stdout is ``LOADED`` then ``HEAVY``."""
+    code = (
+        "import contextlib, io, sys, reallot.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    print(reallot.cli.main(sys.argv[1:]), file=sys.stderr)\n"
+        + LOADED + "\n" + HEAVY
+    )
+    return _fresh(code, *argv, cwd=cwd)
+
+
 @pytest.mark.parametrize(
     "argv, extra",
     [
@@ -415,7 +432,7 @@ def test_every_public_name_resolves():
         (["check", "--ir", "instance.txt", "nu.txt"], "efficiency"),
         (["count", "instance.txt"], "efficiency"),
         (["enum", "--sd", "--m", "4"], "domains"),
-        (["ttc", "instance.txt"], "domains efficiency rules"),
+        (["ttc", "instance.txt"], "rules"),
         (
             ["verify", "--domain", "sp", "--n", "3", "--exhaustive"],
             "domains efficiency equivalence",
@@ -428,15 +445,21 @@ def test_every_public_name_resolves():
     ids=["check", "check-ir", "count", "enum", "ttc", "verify", "synth"],
 )
 def test_each_subcommand_loads_only_what_it_runs(example_files, tmp_path, argv, extra):
-    code = (
-        "import contextlib, io, sys, reallot.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    print(reallot.cli.main(sys.argv[1:]), file=sys.stderr)\n" + LOADED
-    )
-    done = _fresh(code, *argv, cwd=tmp_path)
+    done = _run_main(argv, tmp_path)
     assert done.stderr in ("0\n", "1\n")
+    loaded, heavy = done.stdout.splitlines()
     expected = {"reallot", "reallot.cli", "reallot.core"} | {f"reallot.{m}" for m in extra.split()}
-    assert done.stdout.split() == sorted(expected)
+    assert loaded.split() == sorted(expected)
+    # No command loads what a bare interpreter does not already hold.
+    assert heavy == _fresh("import sys\n" + HEAVY).stdout.rstrip("\n")
+
+
+@pytest.mark.parametrize("argv", [["check", "mu.txt", "mu.txt"], ["count", "mu.txt"], ["ttc", "mu.txt"]])
+def test_a_malformed_input_loads_only_the_core(example_files, tmp_path, argv):
+    # An allocation file read as the instance fails on its first line.
+    done = _run_main(argv, tmp_path)
+    assert done.stderr == "error: line 1: expected an 'order:' line first\n2\n"
+    assert done.stdout.splitlines()[0].split() == ["reallot", "reallot.cli", "reallot.core"]
 
 
 def test_runtime_is_stdlib_only_and_the_module_map_is_complete():

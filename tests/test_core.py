@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import pickle
 import random
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reallot import core
+from reallot.construct import CounterexampleBundle
 from reallot.core import (
     Allocation,
     Instance,
@@ -14,6 +17,10 @@ from reallot.core import (
     Profile,
     enumerate_allocations,
 )
+from reallot.domains import DomainSpec, Scope, ViolationWitness
+from reallot.efficiency import ImprovingCycle
+from reallot.equivalence import EquivalenceReport, ImprovementWitness, Violation
+from reallot.rules import TTC, CorollaryReport, Manipulation, Rule, StrategyProofnessReport
 
 from conftest import better_row_by_definition, pref
 
@@ -175,3 +182,73 @@ def test_reading_better_changes_no_equality_hash_repr_or_pickle():
             back = pickle.loads(pickle.dumps(p))
             assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
             assert back.better == read.better
+
+
+def _value_samples():
+    """One instance of every value class of the package, built through
+    keyword arguments and defaults where a class has them."""
+    inst = Instance.default(3)
+    profile = Profile(inst, (pref("h2 h1 h3"), pref("h1 h2 h3"), pref("h3 h2 h1")))
+    mu, nu = Allocation((0, 1, 2)), Allocation((1, 0, 2))
+    witness = ImprovementWitness(nu=nu, tilde_a=frozenset({0, 1}), labels=(0, 1), colors=("red", "blue"))
+    violation = Violation(profile, mu, witness)
+    manipulation = Manipulation(profile, 0, pref("h1 h2 h3"), 0, 1)
+    bundle = CounterexampleBundle(profile, mu, nu, (0, 1, 2), ((2, 2),), (0, 1, 2))
+    assert bundle.case is None
+    scope = Scope("exhaustive")
+    assert (scope.seed, scope.trials) == (None, None)
+    return [
+        LinearOrder.from_left_to_right((2, 0, 1)),
+        pref("h3 h1 h2"),
+        inst,
+        profile,
+        mu,
+        ViolationWitness("not-single-peaked", pivot=0, middle=1, far=2, side="right"),
+        DomainSpec(("sp", "sd", "all")),
+        DomainSpec.union(3),
+        scope,
+        Scope.randomized(seed=5, trials=3),
+        ImprovingCycle((0, 1)),
+        witness,
+        violation,
+        EquivalenceReport(DomainSpec.union(3), scope, 1, 6, (violation,)),
+        TTC,
+        Rule(name="serial", apply=TTC.apply),
+        manipulation,
+        StrategyProofnessReport("ttc", 1, 4, (manipulation,)),
+        CorollaryReport(1, ((profile, mu, "blocking pair"),)),
+        bundle,
+        CounterexampleBundle(profile, mu, nu, (0, 1, 2), ((2, 2),), (0, 1, 2), case=2),
+    ]
+
+
+def test_value_types_keep_the_frozen_dataclass_contract():
+    samples = _value_samples()
+    # Every class the decorator made is sampled: 17 across six modules.
+    decorated = {
+        cls
+        for name in ("core", "domains", "efficiency", "equivalence", "rules", "construct")
+        for cls in vars(importlib.import_module(f"reallot.{name}")).values()
+        if isinstance(cls, type) and cls.__setattr__ is core._refuse
+    }
+    assert {type(x) for x in samples} == decorated and len(decorated) == 17
+    for x in samples:
+        fields = tuple(type(x).__annotations__)
+        values = tuple(getattr(x, f) for f in fields)
+        assert hash(x) == hash(values)
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(x) == f"{type(x).__qualname__}({shown})"
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and hash(back) == hash(x) and not back != x
+        assert x.__eq__(object()) is NotImplemented
+        assert x.__eq__(values) is NotImplemented
+        for f, v in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(x, f, None)
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+            assert getattr(x, f) is v
+    # The inverses set by __post_init__ are not fields.
+    assert tuple(LinearOrder.__annotations__) == ("position",)
+    assert tuple(Preference.__annotations__) == ("ranking",)
+    assert Preference((1, 0, 2)) != Preference((0, 1, 2))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reallot import domains
 from reallot.core import Instance, LinearOrder, Preference, Profile
 from reallot.domains import (
     DomainSpec,
@@ -293,6 +294,37 @@ def test_a_sampled_single_dipped_profile_builds_one_preference_per_agent(monkeyp
     profile = sample_profile(DomainSpec.all_single_dipped(6), Instance.default(6), 3)
     assert len(built) == 6
     assert all(is_single_dipped(p, profile.order) for p in profile.prefs)
+
+
+def test_the_sampled_loop_resolves_skips_and_entries_once_per_call(monkeypatch):
+    # 200 union draws at n = 6: six preferences each, plus the two monotone
+    # rankings of the SD block's skip set, built once for the whole call.
+    built = []
+    real = Preference.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Preference, "__post_init__", counting)
+    drawn = list(_profiles(DomainSpec.union(6), Instance.default(6), range(200)))
+    assert len(drawn) == 200
+    assert len(built) == 1_202
+    monkeypatch.undo()
+
+    # An explicit list's entry is resolved once per agent, not per draw.
+    resolved = []
+    real_entry = domains._entry
+
+    def resolving(entry):
+        resolved.append(entry)
+        return real_entry(entry)
+
+    monkeypatch.setattr(domains, "_entry", resolving)
+    listed = [pref("h1 h2 h3"), pref("h3 h2 h1")]
+    spec = DomainSpec((listed, "sp", listed))
+    assert len(list(_profiles(spec, Instance.default(3), range(50)))) == 50
+    assert len(resolved) == 3
 
 
 def test_the_unrestricted_list_is_built_once_per_house_count():

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from reallot import domains
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import DomainSpec, _trial_seeds, enumerate_all_preferences, sample_profile
-from reallot.efficiency import find_blocking_pair, find_improving_cycle
+from reallot.efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
 from reallot.equivalence import Scope, verify_equivalence
 from reallot.rules import (
     Manipulation,
     Rule,
     StrategyProofnessReport,
     check_corollary_sd,
-    is_individually_rational,
     serial_dictatorship,
     check_strategy_proofness,
     ttc,
