@@ -18,6 +18,7 @@ per-permutation extraction pass as their oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -325,6 +326,17 @@ def _envy_cycle(
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _mask_houses(n: int) -> tuple[tuple[int, ...], ...]:
+    """``table[mask]``: the houses of each n-bit mask, ascending, which is
+    the order peeling the least bit gives. Built once per agent count, on
+    first use; the sweeps' guard keeps n <= 8, so at most 256 rows."""
+    table: list[tuple[int, ...]] = [()]
+    for h in range(n):
+        table += [houses + (h,) for houses in table]
+    return tuple(table)
+
+
 def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], bool]]:
     """Every pair-efficient allocation, lexicographic on the assigned-house
     sequence like ``itertools.permutations``, each with a flag that is
@@ -334,6 +346,7 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     prefix dies as soon as the newly placed agent and an earlier one envy
     each other: the candidates are the earlier houses the new agent
     prefers to its own, and each is tested against its holder's envy mask.
+    Both loops read a mask's houses from ``_mask_houses``.
 
     Both efficiencies of a leaf depend only on its house digraph, and most
     leaves of one profile repeat a digraph an earlier leaf had, so the
@@ -342,6 +355,7 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     before it.
     """
     n = len(better)
+    houses = _mask_houses(n)
     found: list[tuple[tuple[int, ...], bool]] = []
     acyclic: dict[tuple[int, ...], bool] = {}
     assign = [0] * n
@@ -352,29 +366,22 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     def place(agent: int, free: int):
         row = better[agent]
         taken = full ^ free
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            h = bit.bit_length() - 1
-            wanted = row[h] & taken
-            while wanted:
-                g = wanted & -wanted
-                if succ[g.bit_length() - 1] & bit:
+        for h in houses[free]:
+            bit = 1 << h
+            for g in houses[row[h] & taken]:
+                if succ[g] & bit:
                     break  # the holder of g envies this agent back
-                wanted ^= g
-            if wanted:
-                continue
-            assign[agent] = h
-            succ[h] = row[h]
-            if agent == last:
-                key = tuple(succ)
-                efficient = acyclic.get(key)
-                if efficient is None:
-                    efficient = acyclic[key] = _envy_cycle(succ) is None
-                found.append((tuple(assign), efficient))
             else:
-                place(agent + 1, free ^ bit)
+                assign[agent] = h
+                succ[h] = row[h]
+                if agent == last:
+                    key = tuple(succ)
+                    efficient = acyclic.get(key)
+                    if efficient is None:
+                        efficient = acyclic[key] = _envy_cycle(succ) is None
+                    found.append((tuple(assign), efficient))
+                else:
+                    place(agent + 1, free ^ bit)
 
     place(0, full)
     return found

@@ -426,6 +426,7 @@ def find_gap_witness(
     as a sweep's violations are, its ``nu`` from the brute-force oracle."""
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
+    _check_sweep_agents(n)
     _check_trials(trials)
     instance = Instance.default(n)
     fits = spec.space_size(instance.order) * math.factorial(n) <= _resolve_budget(budget)

@@ -83,6 +83,20 @@ CATALOGUE = (
         ("tests/test_equivalence.py::test_worker_count_is_capped_by_cores_and_tasks",),
     ),
     Mutant(
+        "kernel-prunes-no-prefix",
+        "efficiency.py",
+        "if succ[g] & bit:",
+        "if False:",
+        ("tests/test_efficiency.py::test_pruned_enumeration_matches_the_flat_scan",),
+    ),
+    Mutant(
+        "mask-table-one-house-short",
+        "efficiency.py",
+        "for h in range(n):",
+        "for h in range(n - 1):",
+        ("tests/test_efficiency.py::test_pruned_enumeration_matches_the_flat_scan",),
+    ),
+    Mutant(
         "dominator-survivor-not-strict",
         "efficiency.py",
         "if rank[perm[a]] < rank[assigns[i][a]]:",

@@ -12,6 +12,7 @@ from reallot.efficiency import (
     _blocking_pair_raw,
     _envy_cycle,
     _first_dominators,
+    _mask_houses,
     _pair_efficient,
     apply_cycle,
     brute_force_dominator,
@@ -309,6 +310,28 @@ def test_memoised_leaf_test_matches_the_flat_scan_at_n6_and_n7():
         repeated += len(found) - len({leaf_digraph(better, perm) for perm, _ in found})
         cyclic += sum(not efficient for _, efficient in found)
     assert repeated > 300 and cyclic > 100
+
+
+def test_kernel_matches_the_flat_scan_at_n8():
+    # The top row of the mask table: n = 8 is the largest agent count any
+    # kernel caller admits.
+    n = 8
+    inst = Instance.default(n)
+    mixed = DomainSpec.parse(",".join(("sp", "sd")[a % 2] for a in range(n)), n)
+    for spec, seed in ((DomainSpec.unrestricted(n), 80), (mixed, 81), (mixed, 82)):
+        profile = sample_profile(spec, inst, seed)
+        flat = flat_pair_efficient(profile)
+        assert _pair_efficient([p.better for p in profile.prefs]) == flat
+        assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
+
+
+def test_mask_table_lists_each_masks_houses_ascending():
+    for n in range(9):
+        table = _mask_houses(n)
+        assert len(table) == 1 << n
+        for mask, houses in enumerate(table):
+            assert houses == tuple(h for h in range(n) if mask >> h & 1)
+    assert _mask_houses(8) is _mask_houses(8)  # built once per agent count
 
 
 def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):

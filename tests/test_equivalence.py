@@ -558,6 +558,18 @@ def test_verify_equivalence_budget():
         )
 
 
+def test_find_gap_witness_is_guarded_to_n8_before_any_profile_is_drawn(monkeypatch):
+    # The guard is the sweeps' one (verify_equivalence calls it too), so no
+    # kernel call ever sees more than 8 agents.
+    drawn = []
+    monkeypatch.setattr(equivalence, "_profiles", lambda *args: drawn.append(args) or iter(()))
+    spec = DomainSpec.all_single_peaked(9)
+    for budget in (None, 1):  # the exhaustive and the sampled path
+        with pytest.raises(BudgetError, match="domain sweeps are guarded to n <= 8"):
+            find_gap_witness(spec, 9, seed=0, trials=2, budget=budget)
+    assert drawn == []
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("REALLOT_BUDGET", "10")
     with pytest.raises(BudgetError):
