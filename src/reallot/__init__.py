@@ -20,7 +20,7 @@ _EXPORTS = {  # module -> its public names
     ),
     "core": (
         "Allocation BudgetError Instance LinearOrder ParseError Preference "
-        "Profile ReallotError enumerate_allocations"
+        "Profile ReallotError"
     ),
     "domains": (
         "DomainSpec Scope ViolationWitness enumerate_all_preferences "

@@ -9,9 +9,8 @@ across concurrent workers.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class ReallotError(Exception):
@@ -143,21 +142,6 @@ class LinearOrder:
     def n(self) -> int:
         return len(self.position)
 
-    def _check(self, h: int):
-        if not 0 <= h < len(self.position):
-            raise ValueError(f"unknown house index: {h}")
-
-    def before(self, h: int, g: int) -> bool:
-        """Strict order: h is left of g."""
-        self._check(h)
-        self._check(g)
-        return self.position[h] < self.position[g]
-
-    def weakly_before(self, h: int, g: int) -> bool:
-        self._check(h)
-        self._check(g)
-        return self.position[h] <= self.position[g]
-
     def reversed(self) -> LinearOrder:
         n = len(self.position)
         return LinearOrder(tuple(n - 1 - p for p in self.position))
@@ -280,12 +264,6 @@ class Instance:
     def n(self) -> int:
         return len(self.agents)
 
-    def agent_index(self, name: str) -> int:
-        try:
-            return self.agents.index(name)
-        except ValueError:
-            raise ValueError(f"unknown agent name: {name}") from None
-
     def house_index(self, name: str) -> int:
         try:
             return self.houses.index(name)
@@ -318,9 +296,6 @@ class Profile:
     def order(self) -> LinearOrder:
         return self.instance.order
 
-    def pref(self, agent: int) -> Preference:
-        return self.prefs[agent]
-
     def with_pref(self, agent: int, pref: Preference) -> Profile:
         """A copy of this profile with one agent's preference replaced."""
         prefs = list(self.prefs)
@@ -343,15 +318,3 @@ class Allocation:
     @property
     def n(self) -> int:
         return len(self.assign)
-
-    def house_of(self, agent: int) -> int:
-        return self.assign[agent]
-
-    def agent_of(self, house: int) -> int:
-        return self.assign.index(house)
-
-
-def enumerate_allocations(instance: Instance) -> Iterator[Allocation]:
-    """All n! allocations, lexicographic on the assigned-house sequence."""
-    for perm in itertools.permutations(range(instance.n)):
-        yield Allocation(perm)

@@ -421,14 +421,6 @@ class DomainSpec:
             total -= math.prod(sum(_entry(e).holds(p, order) for p in skip) for e in block)
         return total
 
-    def contains(self, profile: Profile) -> bool:
-        order = profile.order
-        return any(
-            len(block) == profile.n
-            and all(_entry(e).holds(p, order) for e, p in zip(block, profile.prefs))
-            for block in self.blocks
-        )
-
 
 def _swept_before(order: LinearOrder, k: int) -> frozenset:
     """The one overlap rule: a profile of block ``k`` made of these

@@ -81,9 +81,6 @@ class ImprovementWitness:
     def m(self) -> int:
         return len(self.labels)
 
-    def color_of(self, agent: int) -> str:
-        return self.colors[self.labels.index(agent)]
-
 
 def _witness(profile: Profile, ranks, mu: Allocation, nu: Allocation):
     """(witness, owner, slots) for the trade from mu to nu, checked by

@@ -138,6 +138,72 @@ CATALOGUE = (
         "if True:",
         ("tests/test_core.py::test_value_types_keep_the_frozen_dataclass_contract",),
     ),
+    # One mutant per invariant guard that no valid input reaches: each breaks
+    # what its guard protects, and the named test fails on the guard's error.
+    Mutant(
+        "bundle-mu-gives-a-the-pivot",
+        "construct.py",
+        "mu_map = dict(zip(roles, (ht, h, hp)))",
+        "mu_map = dict(zip(roles, (h, ht, hp)))",
+        ("tests/test_construct.py::test_sp_bundle_golden_three_houses",),
+    ),
+    Mutant(
+        "sp-bundle-nu-trio-swapped",
+        "construct.py",
+        "(h, hp, ht), None,",
+        "(hp, h, ht), None,",
+        ("tests/test_construct.py::test_sp_bundle_golden_three_houses",),
+    ),
+    Mutant(
+        "improving-cycle-never-reported",
+        "efficiency.py",
+        "return None if cycle is None else ImprovingCycle(tuple(cycle))",
+        "return None",
+        ("tests/test_construct.py::test_sd_bundle_reproduces_the_gap_example",),
+    ),
+    Mutant(
+        "sp-filler-not-single-peaked",
+        "construct.py",
+        "lambda house: complete_sp(order, [], peak_hint=house)",
+        "lambda house: Preference((house, *(g for g in reversed(range(order.n)) if g != house)))",
+        ("tests/test_construct.py::test_random_bundles_pass_machine_checks",),
+    ),
+    Mutant(
+        "colours-swapped",
+        "efficiency.py",
+        "colors.append(RED if p < pos[dest[h]] else BLUE)",
+        "colors.append(BLUE if p < pos[dest[h]] else RED)",
+        ("tests/test_equivalence.py::test_validate_extraction_claims_counts",),
+    ),
+    Mutant(
+        "kernel-skips-the-first-envied-house",
+        "efficiency.py",
+        "for g in houses[row[h] & taken]:",
+        "for g in houses[row[h] & taken][1:]:",
+        ("tests/test_equivalence.py::test_verify_equivalence_clean_domains",),
+    ),
+    Mutant(
+        "blocking-pair-one-sided",
+        "efficiency.py",
+        "if ra[hb] < own and ranks[b][ha] < ranks[b][hb]:",
+        "if ra[hb] < own:",
+        ("tests/test_equivalence.py::test_verify_equivalence_clean_domains",),
+    ),
+    Mutant(
+        "corollary-rule-keeps-the-endowment",
+        "rules.py",
+        "mu = ttc(profile)",
+        "mu = Allocation(profile.instance.endowment)",
+        ("tests/test_rules.py::test_corollary_holds_exhaustively_n3",),
+    ),
+    Mutant(
+        # Without the pair check the kept endowment reaches the cycle check.
+        "corollary-pair-check-dropped",
+        "rules.py",
+        "        mu = ttc(profile)\n        if find_blocking_pair(profile, mu) is not None:\n",
+        "        mu = Allocation(profile.instance.endowment)\n        if False:\n",
+        ("tests/test_rules.py::test_corollary_holds_exhaustively_n3",),
+    ),
 )
 
 

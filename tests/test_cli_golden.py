@@ -46,7 +46,27 @@ INPUTS = {
     "bad-order.txt": "agent a1: h1 h2 h3\n",
     "bad-alloc.txt": "a1 -> h3\na3 -> h1\na2 -> h2\n",
     "short-alloc.txt": "a1 -> h3\na2 -> h1\n",
+    "odd-alloc.txt": "a1 -> h3\na2 -> h9\na3 -> h2\n",
+    "stray-line.txt": "order: h1 h2 h3\nhouse h4\n",
+    "twice-named.txt": "order: h1 h1 h2\n",
+    "two.txt": "order: h1 h2\nagent a1: h1 h2\nagent a2: h2 h1\n",
 }
+
+# gap.txt with one malformed endowment line each.
+BAD_ENDOW = {
+    "endow-twice.txt": "endow: a1:h1 a2:h2 a3:h3\nendow: a1:h1 a2:h2 a3:h3",
+    "endow-colon.txt": "endow: a1-h1 a2:h2 a3:h3",
+    "endow-agent.txt": "endow: a1:h1 a1:h2 a3:h3",
+    "endow-cover.txt": "endow: a1:h1 a2:h2",
+    "endow-house.txt": "endow: a1:h1 a2:h2 a3:h9",
+    "endow-bijection.txt": "endow: a1:h1 a2:h1 a3:h3",
+}
+INPUTS.update(
+    {
+        name: INPUTS["gap.txt"].replace("endow: a1:h1 a2:h2 a3:h3", line)
+        for name, line in BAD_ENDOW.items()
+    }
+)
 
 CASES = [
     ["check", "gap.txt", "gap-mu.txt"],
@@ -101,6 +121,14 @@ CASES = [
     ["verify", "--domain", "sp", "--n", "x", "--exhaustive"],
     ["enum", "--sp", "--sd", "--m", "3"],
     ["synth", "--mode", "xx", "--pref", "h1 h2 h3"],
+    *(["ttc", name] for name in BAD_ENDOW),
+    ["ttc", "stray-line.txt"],
+    ["ttc", "twice-named.txt"],
+    ["ttc", "two.txt"],
+    ["check", "gap.txt", "odd-alloc.txt"],
+    ["synth", "--mode", "sp", "--pref", "h1 h1 h2", "--out", "none"],
+    ["enum", "--sp", "--m", "0"],
+    ["enum", "--sd", "--m", "0"],
 ]
 
 

@@ -62,6 +62,8 @@ def test_complete_sp_picks_first_canonical_match():
     with pytest.raises(ValueError):
         # h1 over h2 with peak h3 contradicts single-peakedness.
         complete_sp(IDENTITY3, [(0, 1)], peak_hint=2)
+    with pytest.raises(ValueError, match=r"^unknown house index in constraint \(0, 3\)$"):
+        complete_sp(IDENTITY3, [(0, 3)])
 
 
 def _complete_sp_by_walk(order, constraints, peak_hint=None):
@@ -254,6 +256,8 @@ def test_explicit_roles_and_beta():
         build_sp_counterexample(order, offender, roles=(0, 0, 1))
     with pytest.raises(ValueError):
         build_sp_counterexample(order, offender, roles=roles, beta={a: 0 for a in rest_agents})
+    with pytest.raises(ValueError, match=f"^beta is missing agent {rest_agents[0]}$"):
+        build_sp_counterexample(order, offender, roles=roles, beta={rest_agents[1]: beta[rest_agents[1]]})
 
 
 # sha256 of the newline-terminated ``repr`` of every bundle built by

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from reallot import domains
 from reallot.core import Instance, LinearOrder, Preference, Profile
 from reallot.domains import (
+    NOT_SINGLE_PEAKED,
     DomainSpec,
+    ViolationWitness,
     _family_exceeds,
     _profiles,
     _sp_from_mask,
@@ -46,6 +48,17 @@ def test_single_peaked_recognition_basics():
     assert (w.pivot, w.middle, w.far, w.side) == (2, 1, 0, "left")
     assert w.holds_for(pref("h3 h1 h2"), IDENTITY3)
     assert single_peaked_violation(pref("h2 h1 h3"), IDENTITY3) is None
+
+
+def test_violation_witness_checks_its_fields_and_its_chain():
+    with pytest.raises(ValueError, match="^unknown witness kind: bogus$"):
+        ViolationWitness("bogus", 2, 1, 0, "left")
+    with pytest.raises(ValueError, match="^unknown witness side: up$"):
+        ViolationWitness(NOT_SINGLE_PEAKED, 2, 1, 0, "up")
+    # The ranking h3 P h2 P h1 fits the witness, but its middle house h1 is
+    # not between the pivot h3 and the far house h2 in the order.
+    offside = ViolationWitness(NOT_SINGLE_PEAKED, 2, 0, 1, "left")
+    assert not offside.holds_for(pref("h3 h2 h1"), IDENTITY3)
 
 
 def test_single_dipped_recognition_basics():
@@ -203,6 +216,7 @@ def test_domain_spec_parsing_and_description():
     assert mixed.per_agent == ("sp", "sd", "sp")
     assert mixed.describe() == "spec sp,sd,sp"
     assert DomainSpec.all_single_dipped(3).describe() == "sd"
+    assert DomainSpec(((pref("h1 h2 h3"),), "sp", "sp")).describe() == "explicit"
     with pytest.raises(ValueError):
         DomainSpec.parse("sp,sd", 3)
     with pytest.raises(ValueError):
@@ -212,7 +226,11 @@ def test_domain_spec_parsing_and_description():
     with pytest.raises(ValueError):
         DomainSpec((pref("h1 h2 h3"), "sp"))  # raw Preference is not an entry list
     with pytest.raises(ValueError):
-        DomainSpec((("sp",), ()))  # empty explicit list
+        DomainSpec((("sp",), ()))  # a kind inside an explicit list
+    with pytest.raises(ValueError, match="^explicit preference list may not be empty$"):
+        DomainSpec(("sp", ()))
+    with pytest.raises(ValueError, match="^unknown domain kind: sq$"):
+        DomainSpec.parse("sp,sq,sp", 3)
 
 
 def test_explicit_lists_reject_repeated_preferences():
@@ -249,6 +267,8 @@ def test_sampling_is_deterministic_and_in_domain():
     explicit = DomainSpec(((pref("h2 h1 h3"),), "sp", "all"))
     drawn = sample_profile(explicit, inst, seed=1)
     assert drawn.prefs[0] == pref("h2 h1 h3")
+    with pytest.raises(ValueError, match="^spec and instance disagree on the agent count$"):
+        sample_profile(DomainSpec.all_single_peaked(4), inst, seed=1)
 
 
 def test_sampling_streams_are_pinned():
@@ -441,14 +461,3 @@ def test_admissible_sets_reject_union_mode():
     spec = DomainSpec.union(3)
     with pytest.raises(ValueError):
         spec.admissible(IDENTITY3, 0)
-    assert spec.contains(
-        Profile(Instance.default(3), (pref("h1 h2 h3"),) * 3)
-    )
-
-
-def test_contains_checks_each_agent(gap_example):
-    profile, _, _ = gap_example
-    assert DomainSpec.parse("sp,sd,sp", 3).contains(profile)
-    assert not DomainSpec.all_single_peaked(3).contains(profile)
-    assert not DomainSpec.all_single_dipped(3).contains(profile)
-    assert DomainSpec.unrestricted(3).contains(profile)

@@ -231,10 +231,12 @@ def test_guards_reject_large_instances():
 
 def test_allocation_size_mismatch_rejected(gap_example):
     profile, _, _ = gap_example
+    four = Allocation((0, 1, 2, 3))
+    for check in (find_blocking_pair, find_improving_cycle, brute_force_dominator):
+        with pytest.raises(ValueError, match="^allocation size does not match the profile$"):
+            check(profile, four)
     with pytest.raises(ValueError):
-        find_blocking_pair(profile, Allocation((0, 1, 2, 3)))
-    with pytest.raises(ValueError):
-        pareto_dominates(profile, Allocation((0, 1, 2, 3)), Allocation((0, 1, 2, 3)))
+        pareto_dominates(profile, four, four)
 
 
 # --- the per-profile kernel against the per-allocation oracles ---------------

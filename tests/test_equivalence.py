@@ -45,8 +45,20 @@ def test_witness_for_gap_example(gap_example):
     assert w.tilde_a == frozenset({0, 1, 2})
     assert w.labels == (1, 2, 0)  # sorted by order position of the mu-houses
     assert w.colors == (RED, BLUE, BLUE)
-    assert w.color_of(1) == RED
-    assert w.color_of(0) == BLUE
+
+
+@pytest.mark.parametrize(
+    "tilde_a, labels, colors, message",
+    [
+        ({0, 1}, (0, 0), (RED, BLUE), "labels must be distinct agents"),
+        ({0, 2}, (0, 1), (RED, BLUE), "labels must enumerate the improving set"),
+        ({0, 1}, (0, 1), (RED,), "one color per labeled agent"),
+        ({0, 1}, (0, 1), (RED, "green"), "unknown color: green"),
+    ],
+)
+def test_improvement_witness_rejects_malformed_fields(tilde_a, labels, colors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ImprovementWitness(Allocation((1, 0, 2)), frozenset(tilde_a), labels, colors)
 
 
 def test_witness_for_two_agent_swap():
