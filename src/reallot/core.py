@@ -8,7 +8,6 @@ across concurrent workers.
 
 from __future__ import annotations
 
-import functools
 import os
 from typing import Sequence
 
@@ -99,6 +98,24 @@ def _frozen(cls):
     return cls
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes on every
+    first read on Python 3.11: the value goes into the instance ``__dict__``
+    under the method's name, so pickles are the same and later reads find
+    it there before this non-data descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 # Domain-spec entries naming the two structured preference families.
 SINGLE_PEAKED = "sp"
 SINGLE_DIPPED = "sd"
@@ -173,7 +190,7 @@ class Preference:
     def m(self) -> int:
         return len(self.ranking)
 
-    @functools.cached_property
+    @_cached
     def better(self) -> tuple[int, ...]:
         """``better[h]``: the mask of houses strictly preferred to house h."""
         row = [0] * len(self.ranking)

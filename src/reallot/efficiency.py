@@ -256,8 +256,8 @@ def count_efficient(profile: Profile) -> tuple[int, int]:
     n = profile.n
     if n > BRUTE_FORCE_MAX_AGENTS:
         raise BudgetError(f"counting is guarded to n <= {BRUTE_FORCE_MAX_AGENTS}, got {n}")
-    found = _pair_efficient([p.better for p in profile.prefs])
-    return len(found), sum(efficient for _, efficient in found)
+    count, gaps = _pair_efficient([p.better for p in profile.prefs])
+    return count, count - len(gaps)
 
 
 # --- the per-profile kernel -------------------------------------------------
@@ -337,10 +337,10 @@ def _mask_houses(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], bool]]:
-    """Every pair-efficient allocation, lexicographic on the assigned-house
-    sequence like ``itertools.permutations``, each with a flag that is
-    True when the allocation is also Pareto-efficient.
+def _pair_efficient(better: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(count, gaps): how many allocations are pair-efficient, and those of
+    them that are Pareto-dominated, lexicographic on the assigned-house
+    sequence like ``itertools.permutations``.
 
     Backtracks over agents, trying free houses in ascending order. A
     prefix dies as soon as the newly placed agent and an earlier one envy
@@ -348,15 +348,31 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     prefers to its own, and each is tested against its holder's envy mask.
     Both loops read a mask's houses from ``_mask_houses``.
 
+    Agents with equal rows are interchangeable: swapping their houses keeps
+    the house digraph, so both efficiencies. Each agent therefore takes a
+    house above the one the last earlier agent with its row holds, and a
+    leaf stands for the product of (class size)! allocations. Only the
+    dominated leaves are expanded, by permuting houses within each class,
+    and then sorted.
+
     Both efficiencies of a leaf depend only on its house digraph, and most
     leaves of one profile repeat a digraph an earlier leaf had, so the
     cycle walk runs once per distinct ``succ``. The answers live in a dict
     local to this call, so that a sweep's cost does not depend on what ran
-    before it.
+    before it. An efficient leaf only adds one to the count.
     """
     n = len(better)
     houses = _mask_houses(n)
-    found: list[tuple[tuple[int, ...], bool]] = []
+    classes: dict[tuple[int, ...], list[int]] = {}
+    prev = []  # the last earlier agent with the same row, or -1
+    weight = 1  # allocations per leaf: the product of the class factorials
+    for a, row in enumerate(better):
+        mates = classes.setdefault(tuple(row), [])
+        prev.append(mates[-1] if mates else -1)
+        mates.append(a)
+        weight *= len(mates)
+    leaves = 0
+    gaps: list[tuple[int, ...]] = []
     acyclic: dict[tuple[int, ...], bool] = {}
     assign = [0] * n
     succ = [0] * n
@@ -364,9 +380,11 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
     last = n - 1
 
     def place(agent: int, free: int):
+        nonlocal leaves
         row = better[agent]
         taken = full ^ free
-        for h in houses[free]:
+        mate = prev[agent]
+        for h in houses[free if mate < 0 else free & -(2 << assign[mate])]:
             bit = 1 << h
             for g in houses[row[h] & taken]:
                 if succ[g] & bit:
@@ -375,16 +393,29 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ..
                 assign[agent] = h
                 succ[h] = row[h]
                 if agent == last:
+                    leaves += 1
                     key = tuple(succ)
                     efficient = acyclic.get(key)
                     if efficient is None:
                         efficient = acyclic[key] = _envy_cycle(succ) is None
-                    found.append((tuple(assign), efficient))
+                    if not efficient:
+                        gaps.append(tuple(assign))
                 else:
                     place(agent + 1, free ^ bit)
 
     place(0, full)
-    return found
+    if weight > 1 and gaps:
+        # Each sigma permutes the agents within their classes: agent a takes
+        # the house the leaf gives agent sigma[a].
+        agents = [a for mates in classes.values() for a in mates]
+        sigmas = []
+        for picks in itertools.product(*map(itertools.permutations, classes.values())):
+            sigma = [0] * n
+            for a, b in zip(agents, itertools.chain.from_iterable(picks)):
+                sigma[a] = b
+            sigmas.append(sigma)
+        gaps = sorted(tuple(leaf[b] for b in sigma) for leaf in gaps for sigma in sigmas)
+    return leaves * weight, gaps
 
 
 def _trade_colors(ranks, order: LinearOrder, owner, dest, moved: Iterable[int]) -> tuple[list[int], list[str]]:

@@ -165,8 +165,7 @@ class EquivalenceReport:
 def _gap_allocations(prefs) -> list[tuple[int, ...]]:
     """The pair-efficient yet Pareto-dominated allocations of the profile
     with these preferences, in lexicographic order: the one gap finder."""
-    found = _pair_efficient([p.better for p in prefs])
-    return [assign for assign, efficient in found if not efficient]
+    return _pair_efficient([p.better for p in prefs])[1]
 
 
 def _certified(instance: Instance, prefs, gaps) -> list[Violation]:

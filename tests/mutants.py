@@ -97,6 +97,20 @@ CATALOGUE = (
         ("tests/test_efficiency.py::test_pruned_enumeration_matches_the_flat_scan",),
     ),
     Mutant(
+        "gap-expansion-dropped",
+        "efficiency.py",
+        "    if weight > 1 and gaps:\n",
+        "    if False:\n",
+        ("tests/test_efficiency.py::test_kernel_matches_the_flat_scan_on_repeated_agents",),
+    ),
+    Mutant(
+        "canonical-bound-skips-a-house",
+        "efficiency.py",
+        "free & -(2 << assign[mate])",
+        "free & -(4 << assign[mate])",
+        ("tests/test_efficiency.py::test_kernel_matches_the_flat_scan_on_repeated_agents",),
+    ),
+    Mutant(
         "dominator-survivor-not-strict",
         "efficiency.py",
         "if rank[perm[a]] < rank[assigns[i][a]]:",

@@ -172,6 +172,32 @@ def test_reading_better_changes_no_equality_hash_repr_or_pickle():
             assert back.better == read.better
 
 
+def test_better_is_built_once_per_object_and_survives_a_pickle(monkeypatch):
+    descriptor = Preference.better
+    assert vars(Preference)["better"] is descriptor  # read on the class, it is itself
+    built = []
+    build = descriptor.func
+    monkeypatch.setattr(descriptor, "func", lambda p: built.append(p) or build(p))
+    p = Preference((2, 0, 3, 1))
+    assert "better" not in vars(p) and not built
+    assert p.better is p.better == (4, 13, 0, 5)
+    assert len(built) == 1 and built[0] is p
+    # The row sits in the instance dict under its own name, as
+    # ``functools.cached_property`` put it, so a pickle carries it with
+    # the same bytes and the copy does not build it again.
+    data = pickle.dumps(p, protocol=4)
+    assert data == (
+        b"\x80\x04\x95e\x00\x00\x00\x00\x00\x00\x00\x8c\x0creallot.core\x94\x8c\nPreference"
+        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x07ranking\x94(K\x02K\x00K\x03K\x01t\x94\x8c\x07rank_of"
+        b"\x94(K\x01K\x03K\x00K\x02t\x94\x8c\x06better\x94(K\x04K\rK\x00K\x05t\x94ub."
+    )
+    back = pickle.loads(data)
+    assert back.better == p.better and len(built) == 1
+    q = Preference((2, 0, 3, 1))
+    assert q.better is q.better
+    assert len(built) == 2 and built[1] is q
+
+
 def _value_samples():
     """One instance of every value class of the package, built through
     keyword arguments and defaults where a class has them."""

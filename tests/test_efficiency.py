@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -277,11 +279,21 @@ def flat_pair_efficient(profile):
     ]
 
 
+def kernel_view(flat):
+    """The kernel's (count, gaps) from the flat scan's flagged list."""
+    return len(flat), [perm for perm, efficient in flat if not efficient]
+
+
+def assert_kernel_matches_the_flat_scan(profile):
+    flat = flat_pair_efficient(profile)
+    assert _pair_efficient([p.better for p in profile.prefs]) == kernel_view(flat)
+    assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
+    return flat
+
+
 def test_pruned_enumeration_matches_the_flat_scan():
     for profile in itertools.chain(kernel_profiles(), kernel_profiles(order_seed=2)):
-        flat = flat_pair_efficient(profile)
-        assert _pair_efficient([p.better for p in profile.prefs]) == flat
-        assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
+        assert_kernel_matches_the_flat_scan(profile)
 
 
 def leaf_digraph(better, perm):
@@ -307,10 +319,10 @@ def test_memoised_leaf_test_matches_the_flat_scan_at_n6_and_n7():
     repeated = cyclic = 0
     for profile in repeat_profiles():
         better = [p.better for p in profile.prefs]
-        found = _pair_efficient(better)
-        assert found == flat_pair_efficient(profile)
-        repeated += len(found) - len({leaf_digraph(better, perm) for perm, _ in found})
-        cyclic += sum(not efficient for _, efficient in found)
+        flat = flat_pair_efficient(profile)
+        assert _pair_efficient(better) == kernel_view(flat)
+        repeated += len(flat) - len({leaf_digraph(better, perm) for perm, _ in flat})
+        cyclic += sum(not efficient for _, efficient in flat)
     assert repeated > 300 and cyclic > 100
 
 
@@ -321,10 +333,45 @@ def test_kernel_matches_the_flat_scan_at_n8():
     inst = Instance.default(n)
     mixed = DomainSpec.parse(",".join(("sp", "sd")[a % 2] for a in range(n)), n)
     for spec, seed in ((DomainSpec.unrestricted(n), 80), (mixed, 81), (mixed, 82)):
-        profile = sample_profile(spec, inst, seed)
-        flat = flat_pair_efficient(profile)
-        assert _pair_efficient([p.better for p in profile.prefs]) == flat
-        assert count_efficient(profile) == (len(flat), sum(ok for _, ok in flat))
+        assert_kernel_matches_the_flat_scan(sample_profile(spec, inst, seed))
+
+
+def repeated_agent_profiles():
+    """Profiles whose agents share rows: one ranking for every agent at
+    n = 3..8, two rankings at n = 4..7, and sampled unrestricted and
+    alternating SP/SD profiles at n = 4..6 in which some agents copy the
+    agent two places before them, who has the same kind."""
+    rng = random.Random(22)
+    for n in range(3, 9):
+        yield Profile(Instance.default(n), (Preference(tuple(rng.sample(range(n), n))),) * n)
+    for n in range(4, 8):
+        two = [Preference(tuple(rng.sample(range(n), n))) for _ in range(2)]
+        yield Profile(Instance.default(n), tuple(two[a] if a < 2 else rng.choice(two) for a in range(n)))
+    for n, count in ((4, 60), (5, 40), (6, 15)):
+        inst = Instance.default(n)
+        mixed = DomainSpec.parse(",".join(("sp", "sd")[a % 2] for a in range(n)), n)
+        for spec in (DomainSpec.unrestricted(n), mixed):
+            for seed in range(count):
+                prefs = list(sample_profile(spec, inst, 220 + seed).prefs)
+                for a in range(2, n):
+                    if rng.random() < 0.5:
+                        prefs[a] = prefs[a - 2]
+                yield Profile(inst, tuple(prefs))
+
+
+def test_kernel_matches_the_flat_scan_on_repeated_agents():
+    # The kernel places equal agents in canonical order and counts each
+    # leaf for the product of its classes' factorials; its gaps are the
+    # dominated leaves expanded within each class.
+    expanded = 0
+    for profile in repeated_agent_profiles():
+        flat = assert_kernel_matches_the_flat_scan(profile)
+        sizes = collections.Counter(profile.prefs).values()
+        if len(sizes) == 1:  # one ranking: no pair blocks and no cycle closes
+            assert kernel_view(flat) == (math.factorial(profile.n), [])
+        elif max(sizes) > 1:
+            expanded += sum(not efficient for _, efficient in flat)
+    assert expanded > 100
 
 
 def test_mask_table_lists_each_masks_houses_ascending():
@@ -348,11 +395,12 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
     monkeypatch.setattr(efficiency, "_envy_cycle", spy)
     for profile in repeat_profiles():
         better = [p.better for p in profile.prefs]
+        flat = flat_pair_efficient(profile)
         for _ in range(2):  # no answer outlives its call
             del walked[:]
-            found = _pair_efficient(better)
+            assert _pair_efficient(better) == kernel_view(flat)
             assert len(walked) == len(set(walked))
-            assert set(walked) == {leaf_digraph(better, perm) for perm, _ in found}
+            assert set(walked) == {leaf_digraph(better, perm) for perm, _ in flat}
 
     # One shared ranking: no pair blocks and every allocation has the same
     # acyclic digraph, so n! Pareto-efficient leaves cost one walk.
@@ -360,8 +408,7 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
     ranking = (2, 0, 4, 1, 3)
     profile = Profile(Instance.default(n), (Preference(ranking),) * n)
     del walked[:]
-    found = _pair_efficient([Preference(ranking).better] * n)
-    assert found == [(perm, True) for perm in itertools.permutations(range(n))]
+    assert _pair_efficient([Preference(ranking).better] * n) == (120, [])
     assert len(walked) == 1
     assert count_efficient(profile) == (120, 120)
     assert len(walked) == 2
@@ -430,10 +477,8 @@ def cycle_search_cases():
             profile = sample_profile(specs[seed % 2], inst, seed)
             yield profile, Allocation(tuple(rng.sample(range(n), n)))
             if seed % 20 == 1:
-                better = [p.better for p in profile.prefs]
-                for perm, efficient in _pair_efficient(better):
-                    if not efficient:
-                        yield profile, Allocation(perm)
+                for perm in _pair_efficient([p.better for p in profile.prefs])[1]:
+                    yield profile, Allocation(perm)
 
 
 def test_find_improving_cycle_returns_the_oracle_cycles():
@@ -471,8 +516,7 @@ def dominator_cases():
         perms = list(itertools.permutations(range(n)))
         for seed in range(count):
             profile = sample_profile(specs[seed % 2], inst, seed)
-            better = [p.better for p in profile.prefs]
-            yield profile, [perm for perm, efficient in _pair_efficient(better) if not efficient]
+            yield profile, _pair_efficient([p.better for p in profile.prefs])[1]
             yield profile, rng.sample(perms, 10)
 
 
