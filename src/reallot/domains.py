@@ -1,12 +1,15 @@
 """Single-peaked and single-dipped preference families.
 
-Recognition is one scan for a violating triple of houses, run for
-single-dippedness on the ranking read worst-to-best; a failure comes with
-that triple as a witness in the exact shape the counterexample builders
-consume. Enumeration is constructive: a best-first walk over the
-order's intervals, out from each peak for SP and in from both ends for
-SD, streams the 2^(m-1) family members in lexicographic order without
-touching the m! permutation space. A :class:`DomainSpec` is a tuple of
+Recognition is one linear pass: a ranking is single-peaked exactly when
+each of its best-first prefixes is an interval of the order, and
+single-dipped when each worst-first prefix is one. A witness is one scan
+for a violating triple of houses, run for single-dippedness on the
+ranking read worst-to-best, in the exact shape the counterexample
+builders consume; it runs only when a witness is asked for. Enumeration
+is constructive: a best-first walk over the order's intervals, out from
+each peak for SP and in from both ends for SD, streams the 2^(m-1)
+family members in lexicographic order without touching the m!
+permutation space. A :class:`DomainSpec` is a tuple of
 Cartesian blocks, and ``_profiles`` lists or draws its profiles as
 preference tuples. A :class:`Scope` says how much of a spec a sweep
 covers: its profiles (``seeds``) and their count (``size``), which a
@@ -72,7 +75,7 @@ class ViolationWitness:
 def _worst_first(rank: tuple[int, ...]) -> tuple[int, ...]:
     """``rank_of`` of the same ranking read worst-to-best. A preference is
     single-dipped exactly when this reading of it is single-peaked, so the
-    SD checks run the SP scans on it; building the reversed ``Preference``
+    SD witness runs the SP scan on it; building the reversed ``Preference``
     would cost more than the whole scan."""
     top = len(rank) - 1
     return tuple(top - r for r in rank)
@@ -84,7 +87,7 @@ def _peak_violation(
     """The lexicographically least (middle, far) pair such that middle sits
     strictly between the peak and far yet ranks below far, as a ``kind``
     witness; None exactly when the ranking read through ``rank`` is
-    single-peaked, so this one scan is the recogniser too."""
+    single-peaked."""
     pos = order.position
     peak = rank.index(0)
     p = pos[peak]
@@ -108,16 +111,32 @@ def _peak_violation(
     return None
 
 
+def _prefix_intervals(houses: tuple[int, ...], order: LinearOrder) -> bool:
+    """True iff each prefix of ``houses`` is an interval of the order: each
+    next house extends the interval so far by one place, on one side."""
+    pos = order.position
+    lo = hi = pos[houses[0]]
+    for h in houses[1:]:
+        p = pos[h]
+        if p == lo - 1:
+            lo = p
+        elif p == hi + 1:
+            hi = p
+        else:
+            return False
+    return True
+
+
 def is_single_peaked(pref: Preference, order: LinearOrder) -> bool:
     """True iff preference falls off monotonically on both sides of its
     peak along the order."""
-    return _peak_violation(pref.rank_of, order, NOT_SINGLE_PEAKED) is None
+    return _prefix_intervals(pref.ranking, order)
 
 
 def is_single_dipped(pref: Preference, order: LinearOrder) -> bool:
     """True iff preference climbs monotonically on both sides of its dip
     along the order."""
-    return _peak_violation(_worst_first(pref.rank_of), order, NOT_SINGLE_DIPPED) is None
+    return _prefix_intervals(pref.ranking[::-1], order)
 
 
 def single_peaked_violation(pref: Preference, order: LinearOrder) -> ViolationWitness | None:

@@ -3,12 +3,14 @@ brute-force domination oracle and the witness rule.
 
 The checkers ride on the envy digraph (a -> b when a strictly prefers b's
 house), held as successor masks: a 2-cycle is a blocking pair and any
-cycle an improving trade. ``_envy_cycle`` is the one cycle walk, over
-agents in ``find_improving_cycle`` and over houses in the per-profile
-kernel; the brute-force oracle stays a literal scan, independent of it.
-The walk can pause before a node whose successors are not yet known, so
-the extraction pass places a house's holder only when the walk reaches
-it and checks one cycle for every allocation that completes it.
+cycle an improving trade. ``_envy_cycle`` is the one routine that
+returns a cycle, over agents in ``find_improving_cycle`` and over houses
+in the extraction pass; the per-profile kernel only asks whether a leaf's
+digraph is acyclic, and ``_acyclic`` answers by peeling sinks. The
+brute-force oracle stays a literal scan, independent of both. The walk
+can pause before a node whose successors are not yet known, so the
+extraction pass places a house's holder only when the walk reaches it
+and checks one cycle for every allocation that completes it.
 ``_trade_colors`` is the one witness rule, shared by the witnesses, the
 extractors and the extraction pass; everything else works on houses, and
 it alone reads the order, to label and colour the improvers. The tests
@@ -116,9 +118,9 @@ def find_improving_cycle(
 ) -> ImprovingCycle | None:
     """A cycle of the envy digraph, or None (mu is then Pareto-efficient).
 
-    Default mode reports the cycle that the kernel's walk closes from the
-    least agent, the first cycle a depth-first search in ascending agent
-    order meets; ``shortest=True`` returns a shortest cycle by
+    Default mode reports the cycle that ``_envy_cycle``'s walk closes from
+    the least agent, the first cycle a depth-first search in ascending
+    agent order meets; ``shortest=True`` returns a shortest cycle by
     breadth-first search, which is the least blocking pair when one exists.
     """
     if mu.n != profile.n:
@@ -267,14 +269,17 @@ def count_efficient(profile: Profile) -> tuple[int, int]:
 # where a holds h it is also the successor set of h in the house-space envy
 # digraph (h -> g when the holder of h envies the holder of g), so that
 # digraph needs no building: ``succ[h]`` is one table lookup per house.
+# The kernel's leaf test needs only yes or no, so it peels sinks over the
+# set-bit table (``_acyclic``); ``_envy_cycle`` keeps the path that closes
+# a cycle, for the extraction pass and ``find_improving_cycle``.
 
 
 def _envy_cycle(
     succ: Sequence[int], known: int = -1, state: list | None = None
 ) -> list[int] | int | None:
     """A cycle v1 -> v2 -> ... -> vk -> v1 of the digraph given by successor
-    masks, or None when it is acyclic; the nodes are houses in the kernel
-    and agents in ``find_improving_cycle``.
+    masks, or None when it is acyclic; the nodes are houses in the
+    extraction pass and agents in ``find_improving_cycle``.
 
     A walk starts at the least node still in play and follows the least
     successor still in play. A node with no successor in play is a sink:
@@ -330,11 +335,31 @@ def _envy_cycle(
 def _mask_houses(n: int) -> tuple[tuple[int, ...], ...]:
     """``table[mask]``: the houses of each n-bit mask, ascending, which is
     the order peeling the least bit gives. Built once per agent count, on
-    first use; the sweeps' guard keeps n <= 8, so at most 256 rows."""
+    first use. Its two readers, ``_pair_efficient`` and the leaf test
+    ``_acyclic`` it feeds, run only under the n <= 8 guard of
+    ``count_efficient`` and the sweeps, so at most 256 rows; a checker
+    without that guard, such as ``find_improving_cycle``, must not read it."""
     table: list[tuple[int, ...]] = [()]
     for h in range(n):
         table += [houses + (h,) for houses in table]
     return tuple(table)
+
+
+def _acyclic(succ: Sequence[int], houses: Sequence[tuple[int, ...]]) -> bool:
+    """True iff the digraph given by successor masks has no cycle, where
+    ``houses`` is ``_mask_houses(len(succ))``. Peels the least sink still
+    in play until none is left: an emptied graph is acyclic, and a graph
+    in which every node has a successor in play has a cycle. A self-loop
+    keeps its node from ever being a sink."""
+    live = (1 << len(succ)) - 1
+    while live:
+        for h in houses[live]:
+            if not succ[h] & live:
+                live ^= 1 << h
+                break
+        else:
+            return False
+    return True
 
 
 def _pair_efficient(better: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
@@ -357,9 +382,11 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> tuple[int, list[tuple[in
 
     Both efficiencies of a leaf depend only on its house digraph, and most
     leaves of one profile repeat a digraph an earlier leaf had, so the
-    cycle walk runs once per distinct ``succ``. The answers live in a dict
-    local to this call, so that a sweep's cost does not depend on what ran
-    before it. An efficient leaf only adds one to the count.
+    leaf test runs once per distinct ``succ``. It is ``_acyclic``, which
+    peels sinks and keeps no path: the kernel needs to know whether a
+    cycle exists, not which one. The answers live in a dict local to this
+    call, so that a sweep's cost does not depend on what ran before it. An
+    efficient leaf only adds one to the count.
     """
     n = len(better)
     houses = _mask_houses(n)
@@ -397,7 +424,7 @@ def _pair_efficient(better: Sequence[Sequence[int]]) -> tuple[int, list[tuple[in
                     key = tuple(succ)
                     efficient = acyclic.get(key)
                     if efficient is None:
-                        efficient = acyclic[key] = _envy_cycle(succ) is None
+                        efficient = acyclic[key] = _acyclic(succ, houses)
                     if not efficient:
                         gaps.append(tuple(assign))
                 else:

@@ -97,6 +97,20 @@ CATALOGUE = (
         ("tests/test_efficiency.py::test_pruned_enumeration_matches_the_flat_scan",),
     ),
     Mutant(
+        "peel-ignores-self-loops",
+        "efficiency.py",
+        "if not succ[h] & live:",
+        "if not succ[h] & live & ~(1 << h):",
+        ("tests/test_efficiency.py::test_sink_peel_agrees_with_the_walk_on_every_small_digraph",),
+    ),
+    Mutant(
+        "peel-stops-after-one-sink",
+        "efficiency.py",
+        "                live ^= 1 << h\n                break\n",
+        "                return True\n",
+        ("tests/test_efficiency.py::test_pruned_enumeration_matches_the_flat_scan",),
+    ),
+    Mutant(
         "gap-expansion-dropped",
         "efficiency.py",
         "    if weight > 1 and gaps:\n",

@@ -179,6 +179,25 @@ def test_violations_certify_non_membership(data):
         assert wd.holds_for(p, order)
 
 
+def test_linear_recognizers_match_the_quadratic_scan_on_every_ranking():
+    # Every ranking of up to seven houses under the identity order and one
+    # shuffled order: the prefix-interval recognizers answer as the
+    # violation scan does, and each family has 2^(m-1) members.
+    rng = random.Random(10)
+    for m in range(1, 8):
+        shuffled = LinearOrder.from_left_to_right(tuple(rng.sample(range(m), m)))
+        for order in (LinearOrder.identity(m), shuffled):
+            sp = sd = 0
+            for p in enumerate_all_preferences(m):
+                peaked = is_single_peaked(p, order)
+                dipped = is_single_dipped(p, order)
+                assert peaked == (single_peaked_violation(p, order) is None)
+                assert dipped == (single_dipped_violation(p, order) is None)
+                sp += peaked
+                sd += dipped
+            assert sp == sd == 2 ** (m - 1)
+
+
 def test_single_dipped_checks_match_the_direct_scans():
     # Every ranking of up to six houses under five random orders each
     # (4,365 rankings): the recogniser and the witness derived from the

@@ -11,6 +11,7 @@ from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Prefere
 from reallot.domains import DomainSpec, sample_profile
 from reallot.efficiency import (
     ImprovingCycle,
+    _acyclic,
     _blocking_pair_raw,
     _envy_cycle,
     _first_dominators,
@@ -388,11 +389,11 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
 
     walked = []
 
-    def spy(succ):
+    def spy(succ, houses):
         walked.append(tuple(succ))
-        return _envy_cycle(succ)
+        return _acyclic(succ, houses)
 
-    monkeypatch.setattr(efficiency, "_envy_cycle", spy)
+    monkeypatch.setattr(efficiency, "_acyclic", spy)
     for profile in repeat_profiles():
         better = [p.better for p in profile.prefs]
         flat = flat_pair_efficient(profile)
@@ -403,7 +404,7 @@ def test_leaf_test_walks_each_distinct_digraph_once_per_call(monkeypatch):
             assert set(walked) == {leaf_digraph(better, perm) for perm, _ in flat}
 
     # One shared ranking: no pair blocks and every allocation has the same
-    # acyclic digraph, so n! Pareto-efficient leaves cost one walk.
+    # acyclic digraph, so n! Pareto-efficient leaves cost one test.
     n = 5
     ranking = (2, 0, 4, 1, 3)
     profile = Profile(Instance.default(n), (Preference(ranking),) * n)
@@ -430,6 +431,45 @@ def test_envy_cycle_agrees_with_brute_force_on_every_allocation():
                     assert succ[h] >> cycle[(i + 1) % len(cycle)] & 1
 
 
+def test_sink_peel_agrees_with_the_walk_on_every_small_digraph():
+    # Every digraph on at most three nodes, self-loops included.
+    for n in range(4):
+        houses = _mask_houses(n)
+        for succ in itertools.product(range(1 << n), repeat=n):
+            assert _acyclic(succ, houses) == (_envy_cycle(succ) is None)
+
+
+def test_unguarded_checkers_never_build_the_mask_table(tmp_path, capsys):
+    # ``_mask_houses(n)`` holds 2^n rows. Only the kernel, guarded to
+    # n <= 8, may build it; the one-allocation checkers take any n.
+    from reallot.cli import main, serialize_allocation, serialize_instance
+
+    n = 12
+    rng = random.Random(12)
+    prefs = tuple(Preference(tuple(rng.sample(range(n), n))) for _ in range(n))
+    profile = Profile(Instance.default(n), prefs)
+    instance = tmp_path / "instance.txt"
+    instance.write_text(serialize_instance(profile))
+    # A serial dictatorship outcome has no improving cycle, so the walk
+    # peels every node; random allocations close cycles.
+    picked = []
+    for p in profile.prefs:
+        picked.append(next(h for h in p.ranking if h not in picked))
+    allocations = [Allocation(tuple(picked))]
+    allocations += [Allocation(tuple(rng.sample(range(n), n))) for _ in range(19)]
+    _mask_houses.cache_clear()
+    cyclic = []
+    for i, mu in enumerate(allocations):
+        find_blocking_pair(profile, mu)
+        cyclic.append(find_improving_cycle(profile, mu) is not None)
+        allocation = tmp_path / f"mu{i}.txt"
+        allocation.write_text(serialize_allocation(profile.instance, mu))
+        assert main(["check", str(instance), str(allocation)]) in (0, 1)
+    capsys.readouterr()
+    assert not cyclic[0] and any(cyclic)
+    assert _mask_houses.cache_info().currsize == 0
+
+
 @st.composite
 def partly_known_digraphs(draw):
     """Successor masks on n <= 8 nodes, self-loops allowed, an arbitrary
@@ -447,6 +487,7 @@ def test_a_paused_and_resumed_walk_is_the_one_shot_walk(case):
     whole = _envy_cycle(succ)
     got, paused = paused_walk(succ, known, junk)
     assert got == whole
+    assert _acyclic(succ, _mask_houses(len(succ))) == (whole is None)
     # The depth-first search oracle over successor lists agrees, and the
     # walk paused once at each node it had to read, never at a known one.
     lists = [[b for b in range(len(succ)) if s >> b & 1] for s in succ]
