@@ -11,7 +11,8 @@ each peak for SP and in from both ends for SD, streams the 2^(m-1)
 family members in lexicographic order without touching the m!
 permutation space. A :class:`DomainSpec` is a tuple of
 Cartesian blocks, and ``_profiles`` lists or draws its profiles as
-preference tuples. A :class:`Scope` says how much of a spec a sweep
+preference tuples; an SP or SD draw is a row of a per-order table of the
+family's own members. A :class:`Scope` says how much of a spec a sweep
 covers: its profiles (``seeds``) and their count (``size``), which a
 sweep checks against its budget before it draws or lists any.
 """
@@ -24,7 +25,7 @@ import math
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile, _frozen
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile, _frozen
 
 UNRESTRICTED = "all"
 
@@ -282,11 +283,29 @@ def monotone_decreasing(order: LinearOrder) -> Preference:
     return Preference(tuple(reversed(order.by_rank)))
 
 
-def _draw_mask(step: int, order: LinearOrder, rng: random.Random) -> Preference:
-    """A uniform SP preference (``step`` -1) or SD one (``step`` 1): the
-    worst-first list of a random mask, read in that direction."""
-    worst_first = _sp_from_mask(order, rng.getrandbits(order.n - 1) if order.n > 1 else 0)
-    return Preference(tuple(worst_first[::step]))
+@functools.lru_cache(maxsize=None)
+def _draw_table(order: LinearOrder, step: int) -> tuple[Preference, ...]:
+    """``table[mask]``: the member of the SP (``step`` -1) or SD (``step``
+    1) family whose ranking is the worst-first list of the mask read in
+    that direction. Built once per order and kind, on its first draw. Its
+    entries are the family's own objects, checked once when the family was
+    built, so a draw builds no ``Preference`` and no ``better`` row."""
+    family = _sp_family(order) if step == -1 else _sd_family(order)
+    member = {p.ranking: p for p in family}
+    return tuple(member[tuple(_sp_from_mask(order, mask)[::step])] for mask in range(len(family)))
+
+
+def _mask_sampler(step: int, order: LinearOrder) -> Callable[[random.Random], Preference]:
+    """Uniform SP (``step`` -1) or SD (``step`` 1) draws: the preference
+    one random (m-1)-bit mask names. Up to ``BRUTE_FORCE_MAX_AGENTS``
+    houses, where the sweeps run, it is a row of ``_draw_table``; above,
+    the family is too large to list, and each draw builds its ranking.
+    At one house ``getrandbits(0)`` is 0 and advances no state."""
+    bits = order.n - 1
+    if order.n <= BRUTE_FORCE_MAX_AGENTS:
+        table = _draw_table(order, step)
+        return lambda rng: table[rng.getrandbits(bits)]
+    return lambda rng: Preference(tuple(_sp_from_mask(order, rng.getrandbits(bits))[::step]))
 
 
 class _Entry(NamedTuple):
@@ -297,7 +316,7 @@ class _Entry(NamedTuple):
     prefs: Callable[[LinearOrder], tuple[Preference, ...]]  # canonical order
     size: Callable[[LinearOrder], int]
     holds: Callable[[Preference, LinearOrder], bool]
-    draw: Callable[[LinearOrder, random.Random], Preference]  # uniform
+    sampler: Callable[[LinearOrder], Callable[[random.Random], Preference]]  # uniform draws
 
 
 def _family_size(order: LinearOrder) -> int:
@@ -305,13 +324,14 @@ def _family_size(order: LinearOrder) -> int:
 
 
 _KINDS = {
-    SINGLE_PEAKED: _Entry(_sp_family, _family_size, is_single_peaked, functools.partial(_draw_mask, -1)),
-    SINGLE_DIPPED: _Entry(_sd_family, _family_size, is_single_dipped, functools.partial(_draw_mask, 1)),
+    SINGLE_PEAKED: _Entry(_sp_family, _family_size, is_single_peaked, functools.partial(_mask_sampler, -1)),
+    SINGLE_DIPPED: _Entry(_sd_family, _family_size, is_single_dipped, functools.partial(_mask_sampler, 1)),
+    # No table for ``all``: it would hold all m! rankings.
     UNRESTRICTED: _Entry(
         lambda order: _all_family(order.n),
         lambda order: math.factorial(order.n),
         lambda pref, order: True,
-        lambda order, rng: Preference(tuple(rng.sample(range(order.n), order.n))),
+        lambda order: lambda rng: Preference(tuple(rng.sample(range(order.n), order.n))),
     ),
 }
 
@@ -325,7 +345,7 @@ def _entry(entry) -> _Entry:
         lambda order: entry,
         lambda order: len(entry),
         lambda pref, order: pref in entry,
-        lambda order, rng: entry[rng.randrange(len(entry))],
+        lambda order: lambda rng: entry[rng.randrange(len(entry))],
     )
 
 
@@ -480,13 +500,13 @@ def _profiles(
         return
     # Resolved once per call, not once per draw.
     skips = [_swept_before(order, k) for k in range(len(spec.blocks))]
-    draws = [[_entry(e).draw for e in block] for block in spec.blocks]
+    draws = [[_entry(e).sampler(order) for e in block] for block in spec.blocks]
     for seed in seeds:
         rng = random.Random(seed)
         while True:
             k = rng.getrandbits(1) if len(draws) > 1 else 0
             skip = skips[k]
-            prefs = tuple(draw(order, rng) for draw in draws[k])
+            prefs = tuple(draw(rng) for draw in draws[k])
             if not skip or not all(p in skip for p in prefs):
                 break
         yield prefs

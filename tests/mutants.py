@@ -232,6 +232,21 @@ CATALOGUE = (
         "        mu = Allocation(profile.instance.endowment)\n        if False:\n",
         ("tests/test_rules.py::test_corollary_holds_exhaustively_n3",),
     ),
+    Mutant(
+        "sd-sampler-reads-the-sp-table",
+        "domains.py",
+        "is_single_dipped, functools.partial(_mask_sampler, 1)",
+        "is_single_dipped, functools.partial(_mask_sampler, -1)",
+        ("tests/test_domains.py::test_sampled_sp_and_sd_draws_read_the_family_table_by_mask",),
+    ),
+    Mutant(
+        # Still uniform over the family, but not the draw the mask names.
+        "draw-table-in-lexicographic-order",
+        "domains.py",
+        "return tuple(member[tuple(_sp_from_mask(order, mask)[::step])] for mask in range(len(family)))",
+        "return family",
+        ("tests/test_domains.py::test_sampled_sp_and_sd_draws_read_the_family_table_by_mask",),
+    ),
 )
 
 

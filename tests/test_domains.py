@@ -319,9 +319,13 @@ def test_sampling_streams_are_pinned():
     ]
 
 
-def test_a_sampled_single_dipped_profile_builds_one_preference_per_agent(monkeypatch):
-    # An SD draw takes the worst-first list of an SP draw as its ranking,
-    # so each agent's draw validates and indexes one ranking.
+def _clear_family_caches():
+    # The draw tables hold the families' objects, so both go together.
+    for cached in (domains._draw_table, domains._sp_family, domains._sd_family):
+        cached.cache_clear()
+
+
+def _count_built_preferences(monkeypatch) -> list:
     built = []
     real = Preference.__post_init__
 
@@ -330,25 +334,30 @@ def test_a_sampled_single_dipped_profile_builds_one_preference_per_agent(monkeyp
         real(self)
 
     monkeypatch.setattr(Preference, "__post_init__", counting)
+    return built
+
+
+def test_sampled_single_dipped_profiles_build_the_family_once(monkeypatch):
+    # The first SD draw builds the 32 family members of n = 6 for the draw
+    # table; every later draw reads a row of it and builds nothing.
+    _clear_family_caches()
+    built = _count_built_preferences(monkeypatch)
     profile = sample_profile(DomainSpec.all_single_dipped(6), Instance.default(6), 3)
-    assert len(built) == 6
+    assert len(built) == 32
     assert all(is_single_dipped(p, profile.order) for p in profile.prefs)
+    sample_profile(DomainSpec.all_single_dipped(6), Instance.default(6), 4)
+    assert len(built) == 32
 
 
 def test_the_sampled_loop_resolves_skips_and_entries_once_per_call(monkeypatch):
-    # 200 union draws at n = 6: six preferences each, plus the two monotone
-    # rankings of the SD block's skip set, built once for the whole call.
-    built = []
-    real = Preference.__post_init__
-
-    def counting(self):
-        built.append(self)
-        real(self)
-
-    monkeypatch.setattr(Preference, "__post_init__", counting)
+    # 200 union draws at n = 6 build both families for their draw tables
+    # and the two monotone rankings of the SD block's skip set, once for
+    # the whole call, and nothing per draw.
+    _clear_family_caches()
+    built = _count_built_preferences(monkeypatch)
     drawn = list(_profiles(DomainSpec.union(6), Instance.default(6), range(200)))
     assert len(drawn) == 200
-    assert len(built) == 1_202
+    assert len(built) == 66
     monkeypatch.undo()
 
     # An explicit list's entry is resolved once per agent, not per draw.
@@ -364,6 +373,88 @@ def test_the_sampled_loop_resolves_skips_and_entries_once_per_call(monkeypatch):
     spec = DomainSpec((listed, "sp", listed))
     assert len(list(_profiles(spec, Instance.default(3), range(50)))) == 50
     assert len(resolved) == 3
+
+
+class _MaskFeed:
+    """Stands in for ``random.Random``: ``getrandbits`` hands out one
+    chosen mask, so a sampler shows which preference that mask draws."""
+
+    def __init__(self, bits: int, mask: int):
+        self.bits, self.mask = bits, mask
+
+    def getrandbits(self, k: int) -> int:
+        assert k == self.bits
+        return self.mask
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sampled_sp_and_sd_draws_read_the_family_table_by_mask(m):
+    # Every mask, through each kind's sampler: the drawn preference is the
+    # mask's worst-first list read SP or SD way, and it is one of the
+    # family's own objects, not a copy.
+    rng = random.Random(m)
+    orders = [LinearOrder.identity(m)]
+    orders += [LinearOrder(tuple(rng.sample(range(m), m))) for _ in range(2)]
+    for order in orders:
+        for kind, step, family in (
+            ("sp", -1, domains._sp_family(order)),
+            ("sd", 1, domains._sd_family(order)),
+        ):
+            members = {id(p) for p in family}
+            draw = domains._KINDS[kind].sampler(order)
+            table = domains._draw_table(order, step)
+            assert len(table) == len(family) == 2 ** (m - 1)
+            for mask in range(2 ** (m - 1)):
+                drawn = draw(_MaskFeed(m - 1, mask))
+                assert drawn is table[mask]
+                assert drawn == Preference(tuple(_sp_from_mask(order, mask)[::step]))
+                assert id(drawn) in members
+
+
+def test_sampling_above_the_sweep_guard_builds_no_table():
+    # Past n = 8 a family can be too large to list (2^29 members at n = 30),
+    # so each draw builds its own ranking, the same one the mask names.
+    _clear_family_caches()
+    order = LinearOrder(tuple(random.Random(9).sample(range(12), 12)))
+    for kind, step in (("sp", -1), ("sd", 1)):
+        draw = domains._KINDS[kind].sampler(order)
+        for mask in (0, 1, 0b10110011101, 2**11 - 1):
+            drawn = draw(_MaskFeed(11, mask))
+            assert drawn == Preference(tuple(_sp_from_mask(order, mask)[::step]))
+    profile = sample_profile(DomainSpec.union(12), Instance.default(12), 5)
+    assert len(profile.prefs) == 12
+    assert domains._draw_table.cache_info().currsize == 0
+    assert domains._sp_family.cache_info().currsize == 0
+    assert domains._sd_family.cache_info().currsize == 0
+
+
+def test_sp_and_sd_steps_admit_no_core_of_any_size():
+    """No all-SP or all-SD profile has a gap, at any number of agents.
+
+    A gap needs a core: k >= 3 agents holding a set S of k houses in a
+    cycle, where each agent, restricted to S, ranks the next agent's house
+    first and its own house second. Call the pair (second-ranked house ->
+    top house) a step. Restricting an SP or SD ranking to S keeps it SP or
+    SD under the order S inherits, so the steps depend only on positions in
+    S, and the rankings over ``LinearOrder.identity(k)`` give all of them.
+    SP steps join order neighbours, and a path has no cycle through 3 or
+    more nodes; SD steps enter at most two nodes, S's two ends. So no k
+    steps close a cycle, for any k. The test rests on the restriction
+    lemma of the shortest-cycle argument (a shortest envy cycle has no
+    chord, so its agents' restricted rankings are exactly these steps),
+    which it does not itself check.
+    """
+
+    def steps(prefs):
+        return {(p.ranking[1], p.ranking[0]) for p in prefs}
+
+    for k in range(3, 13):
+        order = LinearOrder.identity(k)
+        neighbours = {(h, h + 1) for h in range(k - 1)} | {(h + 1, h) for h in range(k - 1)}
+        assert steps(enumerate_single_peaked(order)) == neighbours
+        assert {top for _, top in steps(enumerate_single_dipped(order))} == {0, k - 1}
+    # Negative control: unrestricted rankings close the 3-cycle 0 -> 1 -> 2 -> 0.
+    assert {(0, 1), (1, 2), (2, 0)} <= steps(enumerate_all_preferences(3))
 
 
 def test_the_unrestricted_list_is_built_once_per_house_count():
