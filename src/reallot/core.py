@@ -72,7 +72,9 @@ def _frozen(cls):
     dataclass rules, so hashes, set orders and reprs stay the ones
     dataclasses gave. A method the class writes itself, as
     ``DomainSpec.__init__``, is kept. Each class gets its own generated
-    methods, so no call loops over field names."""
+    methods, so no call loops over field names. The private classmethod
+    ``_make(*fields)`` is ``__init__`` without ``__post_init__``, for callers
+    whose fields are valid by construction; ``_make = None`` opts out."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {f"_d_{f}": cls.__dict__[f] for f in names if f in cls.__dict__}
     params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in defaults else f", {f}" for f in names)
@@ -80,9 +82,11 @@ def _frozen(cls):
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     mine, theirs = ("".join(f"{who}.{f}," for f in names) for who in ("self", "other"))
     shown = ", ".join(f"{f}={{self.{f}!r}}" for f in names)
-    namespace = {"_set": object.__setattr__, **defaults}
+    namespace = {"_set": object.__setattr__, "_new": object.__new__, **defaults}
     exec(
         f"def __init__(self{params}):\n{sets}{post}"
+        f"def _make(cls{''.join(f', {f}' for f in names)}):\n"
+        f"    self = _new(cls)\n{sets}    return self\n"
         "def __eq__(self, other):\n"
         f"    if other.__class__ is self.__class__:\n        return ({mine}) == ({theirs})\n"
         "    return NotImplemented\n"
@@ -90,10 +94,10 @@ def _frozen(cls):
         f'def __repr__(self):\n    return f"{cls.__qualname__}({shown})"\n',
         namespace,
     )
-    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+    for name in ("__init__", "_make", "__eq__", "__hash__", "__repr__"):
         if name not in cls.__dict__:
             namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, namespace[name])
+            setattr(cls, name, classmethod(namespace[name]) if name == "_make" else namespace[name])
     cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
 
@@ -130,6 +134,7 @@ class LinearOrder:
     """
 
     position: tuple[int, ...]
+    _make = None  # by_rank is derived: every order is built checked
 
     def __post_init__(self):
         pos = tuple(self.position)
@@ -174,6 +179,7 @@ class Preference:
     """
 
     ranking: tuple[int, ...]
+    _make = None  # rank_of is derived: every preference is built checked
 
     def __post_init__(self):
         ranking = tuple(self.ranking)

@@ -176,7 +176,7 @@ def brute_force_dominator(profile: Profile, mu: Allocation) -> Allocation | None
     if mu.n != n:
         raise ValueError("allocation size does not match the profile")
     (nu,) = _first_dominators(profile.prefs, [mu.assign])
-    return None if nu is None else Allocation(nu)
+    return None if nu is None else Allocation._make(nu)
 
 
 def _first_dominators(

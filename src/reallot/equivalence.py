@@ -89,11 +89,14 @@ def _witness(profile: Profile, ranks, mu: Allocation, nu: Allocation):
     n = profile.n
     if nu.n != n or mu.n != n:
         raise ValueError("allocation size does not match the profile")
-    owner = sorted(range(n), key=mu.assign.__getitem__)
+    owner = [0] * n
+    for a, h in enumerate(mu.assign):
+        owner[h] = a
     dest = [nu.assign[a] for a in owner]
     slots, colors = _trade_colors(ranks, profile.order, owner, dest, range(n))
+    # Distinct houses give distinct labels, and the colours are the rule's.
     labels = tuple([owner[h] for h in slots])
-    return ImprovementWitness(nu, frozenset(labels), labels, tuple(colors)), owner, slots
+    return ImprovementWitness._make(nu, frozenset(labels), labels, tuple(colors)), owner, slots
 
 
 def build_witness(profile: Profile, mu: Allocation, nu: Allocation) -> ImprovementWitness:
@@ -171,17 +174,18 @@ def _gap_allocations(prefs) -> list[tuple[int, ...]]:
 def _certified(instance: Instance, prefs, gaps) -> list[Violation]:
     """One violation per gap allocation, its dominator from one walk of the
     brute-force oracle over all the gaps, independent of the cycle checker
-    that spotted them; pair-efficiency is re-checked per allocation."""
+    that spotted them; pair-efficiency is re-checked per allocation. The
+    parts are listed preferences and permutations, built unchecked."""
     if not gaps:
         return []
-    profile = Profile(instance, prefs)
+    profile = Profile._make(instance, prefs)
     ranks = [p.rank_of for p in prefs]
     found: list[Violation] = []
     for assign, nu in zip(gaps, _first_dominators(prefs, gaps)):
         if nu is None:
             raise RuntimeError("cycle checker and brute-force oracle disagree")
-        mu = Allocation(assign)
-        witness = _witness(profile, ranks, mu, Allocation(nu))[0]
+        mu = Allocation._make(assign)
+        witness = _witness(profile, ranks, mu, Allocation._make(nu))[0]
         if _blocking_pair_raw(ranks, assign) is not None:
             raise RuntimeError("violation candidate is not pair-efficient")
         found.append(Violation(profile, mu, witness))

@@ -66,14 +66,16 @@ def ttc(profile: Profile) -> Allocation:
             for x in path[at[b] :]:
                 assigned[x] = ranks[x][cursor[x]]
             del path[at[b] :]
-    return Allocation(tuple(assigned))
+    # Every agent left with the house it pointed at, each house once.
+    return Allocation._make(tuple(assigned))
 
 
 TTC = Rule("ttc", ttc)
 
 
 def _serial_picks(rankings: Sequence[Sequence[int]], order: Sequence[int]) -> Allocation:
-    """Agents in ``order`` each take the first free house of their ranking."""
+    """Agents in ``order``, all of them once, each take the first free
+    house of their ranking."""
     taken = [False] * len(rankings)
     assigned = [-1] * len(rankings)
     for agent in order:
@@ -82,14 +84,17 @@ def _serial_picks(rankings: Sequence[Sequence[int]], order: Sequence[int]) -> Al
                 assigned[agent] = house
                 taken[house] = True
                 break
-    return Allocation(tuple(assigned))
+    return Allocation._make(tuple(assigned))
 
 
 def serial_dictatorship(priority: Sequence[int] | None = None) -> Rule:
-    """Agents pick their best remaining house in priority order."""
+    """Agents pick their best remaining house in priority order, which must
+    list every agent of the profile once."""
 
     def run(profile: Profile) -> Allocation:
         order = tuple(priority) if priority is not None else range(profile.n)
+        if sorted(order) != list(range(profile.n)):
+            raise ValueError("priority must list every agent once")
         return _serial_picks([p.ranking for p in profile.prefs], order)
 
     return Rule("serial-dictatorship", run)
@@ -151,7 +156,7 @@ def check_strategy_proofness(
     so its cases count as checked without running the rule. Each lie is
     the truthful preference tuple with one entry replaced, and outcomes
     are memoised by code, so the rule runs at most once per distinct
-    profile.
+    profile. Profiles are tuples of listed preferences, built unchecked.
     """
     from .domains import _profiles
 
@@ -180,7 +185,7 @@ def check_strategy_proofness(
         code = sum(map(operator.mul, idx, strides))
         outcome = cache.get(code)
         if outcome is None:
-            cache[code] = outcome = rule(Profile(instance, prefs)).assign
+            cache[code] = outcome = rule(Profile._make(instance, prefs)).assign
         for agent, stride in enumerate(strides):
             mine = outcome[agent]
             rank = prefs[agent].rank_of
@@ -194,11 +199,11 @@ def check_strategy_proofness(
                 lie = code + (j - own) * stride
                 lied = cache.get(lie)
                 if lied is None:
-                    cache[lie] = lied = rule(Profile(instance, head + (pref,) + tail)).assign
+                    cache[lie] = lied = rule(Profile._make(instance, head + (pref,) + tail)).assign
                 house = lied[agent]
                 if rank[house] < rank[mine]:
                     violations.append(
-                        Manipulation(Profile(instance, prefs), agent, pref, mine, house)
+                        Manipulation(Profile._make(instance, prefs), agent, pref, mine, house)
                     )
     return StrategyProofnessReport(rule.name, profiles, profiles * per_profile, tuple(violations))
 
@@ -220,7 +225,7 @@ def check_corollary_sd(
     n: int, scope: Scope, *, budget: int | None = None
 ) -> CorollaryReport:
     """On every all-single-dipped profile in scope, TTC's output must have
-    no blocking pair and no improving cycle."""
+    no blocking pair and no improving cycle (profiles built unchecked)."""
     from .domains import DomainSpec, _profiles
     from .efficiency import find_blocking_pair, find_improving_cycle
 
@@ -231,7 +236,7 @@ def check_corollary_sd(
     failures: list[tuple[Profile, Allocation, str]] = []
     for prefs in _profiles(spec, instance, scope.seeds()):
         profiles += 1
-        profile = Profile(instance, prefs)
+        profile = Profile._make(instance, prefs)
         mu = ttc(profile)
         if find_blocking_pair(profile, mu) is not None:
             failures.append((profile, mu, "blocking pair"))

@@ -1,10 +1,11 @@
 """Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
-envy-graph, cycle-search and dominator oracles, the paused-walk helper,
+checked-rebuild gate of ``_make`` values, the envy-graph, cycle-search and dominator oracles, the paused-walk helper,
 the literal witness, extractor and extraction-claim oracles, the kernel
 row by definition, the per-permutation extraction pass, the walk-free
 efficiency oracles and the direct single-dipped oracles."""
 
 import itertools
+import pickle
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,6 +29,18 @@ from reallot.equivalence import ImprovementWitness
 def pref(text: str) -> Preference:
     """Build a preference from 'h2 h3 h1' style text (default names)."""
     return Preference(tuple(int(tok[1:]) - 1 for tok in text.split()))
+
+
+def assert_checked_rebuild(value):
+    """The checked constructor accepts the fields of a value that a
+    ``_make`` call built and gives the same value: equal, with the same
+    hash, repr and pickle bytes. No field is a list, which the checked
+    constructor would have coerced to a tuple or kept as one."""
+    fields = [getattr(value, f) for f in type(value).__annotations__]
+    assert not any(isinstance(f, list) for f in fields)
+    rebuilt = type(value)(*fields)
+    assert rebuilt == value and hash(rebuilt) == hash(value) and repr(rebuilt) == repr(value)
+    assert pickle.dumps(rebuilt) == pickle.dumps(value)
 
 
 def profile_from(*rows: str, order: LinearOrder | None = None) -> Profile:

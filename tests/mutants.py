@@ -247,6 +247,26 @@ CATALOGUE = (
         "return family",
         ("tests/test_domains.py::test_sampled_sp_and_sd_draws_read_the_family_table_by_mask",),
     ),
+    # Values built through ``_make`` skip their checks: the gates are the
+    # pinned bytes, the checked rebuild and the oracles, not the constructor.
+    Mutant(
+        "witness-make-swaps-labels-and-colors",
+        "equivalence.py",
+        "ImprovementWitness._make(nu, frozenset(labels), labels, tuple(colors))",
+        "ImprovementWitness._make(nu, frozenset(labels), tuple(colors), labels)",
+        (
+            "tests/test_library_bytes.py",
+            "tests/test_equivalence.py::test_certified_values_are_those_the_checked_constructors_build",
+        ),
+    ),
+    Mutant(
+        # Still a bijection, so only the oracle sees that it is not TTC's.
+        "ttc-make-sorts-the-outcome",
+        "rules.py",
+        "    return Allocation._make(tuple(assigned))\n\n\nTTC = ",
+        "    return Allocation._make(tuple(sorted(assigned)))\n\n\nTTC = ",
+        ("tests/test_rules.py::test_ttc_matches_the_round_based_oracle_exhaustively_n3",),
+    ),
 )
 
 

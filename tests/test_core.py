@@ -262,6 +262,27 @@ def test_value_types_keep_the_frozen_dataclass_contract():
             with pytest.raises(AttributeError):
                 delattr(x, f)
             assert getattr(x, f) is v
+    # ``_make`` builds the same value from the same fields, unchecked, on
+    # every class but the two whose __post_init__ derives an inverse.
+    made = set()
+    for x in samples:
+        if type(x) in (LinearOrder, Preference):
+            assert type(x)._make is None
+            continue
+        fields = tuple(type(x).__annotations__)
+        values = tuple(getattr(x, f) for f in fields)
+        y = type(x)._make(*values)
+        assert type(y) is type(x) and y == x and not y != x
+        assert hash(y) == hash(x) and repr(y) == repr(x)
+        assert pickle.dumps(y) == pickle.dumps(x)
+        for f, v in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(y, f, None)
+            with pytest.raises(AttributeError):
+                delattr(y, f)
+            assert getattr(y, f) is v
+        made.add(type(x))
+    assert len(made) == 15 and made == decorated - {LinearOrder, Preference}
     # The inverses set by __post_init__ are not fields.
     assert tuple(LinearOrder.__annotations__) == ("position",)
     assert tuple(Preference.__annotations__) == ("ranking",)

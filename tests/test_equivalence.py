@@ -36,7 +36,7 @@ from reallot.equivalence import (
 )
 from reallot.rules import check_corollary_sd
 
-from conftest import EnvyGraph, profile_from
+from conftest import EnvyGraph, assert_checked_rebuild, profile_from
 
 
 def test_witness_for_gap_example(gap_example):
@@ -265,17 +265,23 @@ def test_clean_sweeps_never_reach_the_dominator_scan(monkeypatch):
 
 
 def test_sweeps_build_a_profile_only_to_report_it_or_to_run_a_rule(monkeypatch):
-    # The generator yields preference tuples; a Profile is validated where
-    # a violation is returned, where the spot check compares allocations,
-    # or where a rule runs on it.
+    # The generator yields preference tuples; a Profile is built, checked
+    # or through ``_make``, where a violation is returned, where the spot
+    # check compares allocations, or where a rule runs on it.
     built = []
     real = Profile.__post_init__
+    real_make = Profile._make.__func__
 
     def counting(self):
         built.append(self)
         real(self)
 
+    def counting_make(cls, *fields):
+        built.append(fields)
+        return real_make(cls, *fields)
+
     monkeypatch.setattr(Profile, "__post_init__", counting)
+    monkeypatch.setattr(Profile, "_make", classmethod(counting_make))
     report = verify_equivalence(DomainSpec.all_single_peaked(5), 5, Scope.randomized(5, 50))
     assert report.ok and len(built) <= 1
     built.clear()
@@ -284,6 +290,29 @@ def test_sweeps_build_a_profile_only_to_report_it_or_to_run_a_rule(monkeypatch):
     assert built == []
     corollary = check_corollary_sd(4, Scope.exhaustive())
     assert corollary.ok and len(built) == corollary.profiles_checked == 8**4
+
+
+@pytest.mark.parametrize(
+    "text, n, scope",
+    [
+        ("all", 3, Scope.exhaustive()),
+        ("sp,sd,sp,sd", 4, Scope.exhaustive()),
+        ("all", 5, Scope.randomized(seed=3, trials=40)),
+    ],
+)
+def test_certified_values_are_those_the_checked_constructors_build(text, n, scope):
+    # Violations build their profile, allocations and witness through
+    # ``_make``; each part must pass its own checks and equal what they give.
+    report = verify_equivalence(DomainSpec.parse(text, n), n, scope)
+    assert report.violations
+    for v in report.violations:
+        for value in (v.profile, v.mu, v.witness.nu, v.witness):
+            assert_checked_rebuild(value)
+        assert brute_force_dominator(v.profile, v.mu) == v.witness.nu
+        assert_checked_rebuild(brute_force_dominator(v.profile, v.mu))
+    profile, mu, nu = find_gap_witness(DomainSpec.parse(text, n), n, seed=3, trials=40)
+    for value in (profile, mu, nu):
+        assert_checked_rebuild(value)
 
 
 def _unreduced_exhaustive_sweep(spec, n):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reallot import domains
+from reallot import domains, rules
 from reallot.core import Allocation, BudgetError, Instance, LinearOrder, Preference, Profile
 from reallot.domains import DomainSpec, _trial_seeds, enumerate_all_preferences, sample_profile
 from reallot.efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
 from reallot.equivalence import Scope, verify_equivalence
 from reallot.rules import (
     Manipulation,
+    TTC,
     Rule,
     StrategyProofnessReport,
     check_corollary_sd,
@@ -22,7 +23,7 @@ from reallot.rules import (
     worst_house_dictatorship,
 )
 
-from conftest import profile_from
+from conftest import assert_checked_rebuild, profile_from
 
 
 def all_profiles(n):
@@ -182,6 +183,53 @@ def test_serial_dictatorship_is_strategy_proof_even_reversed():
         rule, DomainSpec.unrestricted(3), 3, Scope.exhaustive()
     )
     assert report.ok
+
+
+@pytest.mark.parametrize("priority", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)])
+def test_serial_dictatorship_refuses_a_priority_that_is_not_the_agents(priority):
+    rule = serial_dictatorship(priority)
+    with pytest.raises(ValueError, match="^priority must list every agent once$"):
+        rule(profile_from("h1 h2 h3", "h1 h2 h3", "h1 h2 h3"))
+
+
+def test_rule_outcomes_are_those_the_checked_constructor_builds():
+    # ``ttc`` and the pick loop build their allocation through ``_make``.
+    n = 4
+    instance = Instance.default(n)
+    spec = DomainSpec.all_single_dipped(n)
+    made = (TTC, serial_dictatorship((2, 0, 3, 1)), worst_house_dictatorship())
+    profiles = 0
+    for prefs in itertools.product(*(spec.admissible(instance.order, a) for a in range(n))):
+        profile = Profile(instance, prefs)
+        for rule in made:
+            assert_checked_rebuild(rule(profile))
+        profiles += 1
+    assert profiles == 8**n
+
+
+def test_misreport_profiles_are_those_the_checked_constructor_builds():
+    # The truthful profiles and every lie reach the rule through ``_make``,
+    # and so do the profiles a manipulation reports.
+    seen = []
+    worst = worst_house_dictatorship()
+
+    def recording(profile):
+        seen.append(profile)
+        return worst(profile)
+
+    spec = DomainSpec.parse("sp,sd,all", 3)
+    report = check_strategy_proofness(Rule("worst", recording), spec, 3, Scope.exhaustive())
+    assert report.violations and len(seen) == spec.space_size(LinearOrder.identity(3))
+    for profile in seen + [v.profile for v in report.violations]:
+        assert_checked_rebuild(profile)
+
+
+def test_corollary_profiles_are_those_the_checked_constructor_builds(monkeypatch):
+    seen = []
+    monkeypatch.setattr(rules, "ttc", lambda profile: seen.append(profile) or ttc(profile))
+    assert check_corollary_sd(3, Scope.exhaustive()).ok and len(seen) == 64
+    for profile in seen:
+        assert_checked_rebuild(profile)
 
 
 def test_worst_house_dictatorship_is_manipulable():
