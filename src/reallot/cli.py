@@ -101,7 +101,7 @@ def parse_instance(text: str) -> Profile:
             ranking.append(house_index[tok])
         if sorted(ranking) != list(range(n)):
             raise ParseError("ranking must list every house exactly once", lineno)
-        prefs.append(Preference(tuple(ranking)))
+        prefs.append(Preference(ranking))
     if len(agents) != n:
         raise ParseError(f"found {len(agents)} agents for {n} houses")
 
@@ -127,11 +127,11 @@ def parse_instance(text: str) -> Profile:
             built.append(house_index[house])
         if sorted(built) != list(range(n)):
             raise ParseError("endowment must be a bijection", lineno)
-        endowment = tuple(built)
+        endowment = built
 
     try:
-        instance = Instance(tuple(agents), houses, endowment, LinearOrder.identity(n))
-        return Profile(instance, tuple(prefs))
+        instance = Instance(agents, houses, endowment, LinearOrder.identity(n))
+        return Profile(instance, prefs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -171,7 +171,7 @@ def parse_allocation(text: str, instance: Instance) -> Allocation:
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
     try:
-        return Allocation(tuple(assign))
+        return Allocation(assign)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -281,7 +281,7 @@ def _write_all(folder: str, files: dict[str, str]):
 def cmd_check(args) -> int:
     profile = parse_instance(_read(args.instance))
     allocation = parse_allocation(_read(args.allocation), profile.instance)
-    from .efficiency import find_blocking_pair, find_improving_cycle, is_individually_rational
+    from .efficiency import _hurt_agent, find_blocking_pair, find_improving_cycle
 
     inst = profile.instance
     run_all = not (args.pair or args.pareto or args.ir)
@@ -300,18 +300,14 @@ def cmd_check(args) -> int:
             names = " ".join(inst.agents[a] for a in cycle.agents)
             print(f"  improving cycle: {names}")
     if args.ir or run_all:
-        rational = is_individually_rational(profile, allocation)
-        print(f"individually-rational: {'yes' if rational else 'no'}")
-        if not rational:
+        hurt = _hurt_agent(profile, allocation)
+        print(f"individually-rational: {'yes' if hurt is None else 'no'}")
+        if hurt is not None:
             failed = True
-            for a, pref in enumerate(profile.prefs):
-                endowed = inst.endowment[a]
-                if pref.rank_of[allocation.assign[a]] > pref.rank_of[endowed]:
-                    print(
-                        f"  hurt agent: {inst.agents[a]} (assigned "
-                        f"{inst.houses[allocation.assign[a]]}, endowed {inst.houses[endowed]})"
-                    )
-                    break
+            print(
+                f"  hurt agent: {inst.agents[hurt]} (assigned "
+                f"{inst.houses[allocation.assign[hurt]]}, endowed {inst.houses[inst.endowment[hurt]]})"
+            )
     return 1 if failed else 0
 
 
@@ -384,7 +380,7 @@ def cmd_synth(args) -> int:
     # already machine-checked.
     inst = Instance(
         bundle.profile.instance.agents,
-        tuple(universe),
+        universe,
         bundle.profile.instance.endowment,
         order,
     )

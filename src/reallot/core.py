@@ -8,6 +8,7 @@ across concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Sequence
 
@@ -67,24 +68,30 @@ def _frozen(cls):
     """The value-type decorator: what ``dataclass(frozen=True)`` gives a
     class, without loading ``dataclasses`` and what it imports. The fields
     are the class's annotations, a class attribute being a field's default.
-    ``__init__`` sets them and ends in ``__post_init__``. ``==`` compares
-    field tuples within one class and ``hash`` is the field tuple's, the
-    dataclass rules, so hashes, set orders and reprs stay the ones
-    dataclasses gave. A method the class writes itself, as
+    ``__init__`` sets them, passing a field annotated ``tuple[...]`` (the
+    annotation text ``from __future__ import annotations`` leaves) through
+    ``tuple()``, and ends in ``__post_init__``, which only checks. ``==``
+    compares field tuples within one class and ``hash`` is the field
+    tuple's, the dataclass rules, so hashes, set orders and reprs stay the
+    ones dataclasses gave. A method the class writes itself, as
     ``DomainSpec.__init__``, is kept. Each class gets its own generated
     methods, so no call loops over field names. The private classmethod
-    ``_make(*fields)`` is ``__init__`` without ``__post_init__``, for callers
-    whose fields are valid by construction; ``_make = None`` opts out."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ``_make(*fields)`` is ``__init__`` without that coercion and without
+    ``__post_init__``, for callers whose fields are valid tuples by
+    construction; ``_make = None`` opts out."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
     defaults = {f"_d_{f}": cls.__dict__[f] for f in names if f in cls.__dict__}
     params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in defaults else f", {f}" for f in names)
     sets = "".join(f"    _set(self, {f!r}, {f})\n" for f in names)
+    value = {f: f"tuple({f})" if annotations[f].startswith("tuple[") else f for f in names}
+    coerced = "".join(f"    _set(self, {f!r}, {value[f]})\n" for f in names)
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     mine, theirs = ("".join(f"{who}.{f}," for f in names) for who in ("self", "other"))
     shown = ", ".join(f"{f}={{self.{f}!r}}" for f in names)
     namespace = {"_set": object.__setattr__, "_new": object.__new__, **defaults}
     exec(
-        f"def __init__(self{params}):\n{sets}{post}"
+        f"def __init__(self{params}):\n{coerced}{post}"
         f"def _make(cls{''.join(f', {f}' for f in names)}):\n"
         f"    self = _new(cls)\n{sets}    return self\n"
         "def __eq__(self, other):\n"
@@ -102,22 +109,17 @@ def _frozen(cls):
     return cls
 
 
-class _cached:
-    """``functools.cached_property`` without the lock it takes on every
-    first read on Python 3.11: the value goes into the instance ``__dict__``
-    under the method's name, so pickles are the same and later reads find
-    it there before this non-data descriptor."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
+def _inverse(perm: Sequence[int]) -> tuple[int, ...] | None:
+    """The inverse of ``perm`` (``inverse[perm[i]] == i``), or None when
+    ``perm`` is not a permutation of 0..n-1."""
+    n = len(perm)
+    valid = range(n)  # ``in`` refuses a string, where ``<=`` would raise
+    inverse = [None] * n
+    for i, x in enumerate(perm):
+        if x not in valid or inverse[x] is not None:
+            return None
+        inverse[x] = i
+    return tuple(inverse)
 
 
 # Domain-spec entries naming the two structured preference families.
@@ -137,15 +139,10 @@ class LinearOrder:
     _make = None  # by_rank is derived: every order is built checked
 
     def __post_init__(self):
-        pos = tuple(self.position)
-        object.__setattr__(self, "position", pos)
-        n = len(pos)
-        if sorted(pos) != list(range(n)):
+        by_rank = _inverse(self.position)
+        if by_rank is None:
             raise ValueError("position must be a bijection onto 0..n-1")
-        by_rank = [0] * n
-        for house, rank in enumerate(pos):
-            by_rank[rank] = house
-        object.__setattr__(self, "by_rank", tuple(by_rank))
+        object.__setattr__(self, "by_rank", by_rank)
 
     @classmethod
     def identity(cls, n: int) -> LinearOrder:
@@ -155,10 +152,10 @@ class LinearOrder:
     @classmethod
     def from_left_to_right(cls, houses: Sequence[int]) -> LinearOrder:
         """Build from the sequence of house indices listed left to right."""
-        position = [-1] * len(houses)
-        for rank, house in enumerate(houses):
-            position[house] = rank
-        return cls(tuple(position))
+        position = _inverse(houses)
+        if position is None:
+            raise ValueError("position must be a bijection onto 0..n-1")
+        return cls(position)
 
     @property
     def n(self) -> int:
@@ -182,21 +179,16 @@ class Preference:
     _make = None  # rank_of is derived: every preference is built checked
 
     def __post_init__(self):
-        ranking = tuple(self.ranking)
-        object.__setattr__(self, "ranking", ranking)
-        m = len(ranking)
-        if m < 1 or sorted(ranking) != list(range(m)):
+        rank_of = _inverse(self.ranking)
+        if not rank_of:  # None, or empty: no houses
             raise ValueError("ranking must be a permutation of 0..m-1")
-        rank_of = [0] * m
-        for rank, house in enumerate(ranking):
-            rank_of[house] = rank
-        object.__setattr__(self, "rank_of", tuple(rank_of))
+        object.__setattr__(self, "rank_of", rank_of)
 
     @property
     def m(self) -> int:
         return len(self.ranking)
 
-    @_cached
+    @functools.cached_property
     def better(self) -> tuple[int, ...]:
         """``better[h]``: the mask of houses strictly preferred to house h."""
         row = [0] * len(self.ranking)
@@ -251,20 +243,14 @@ class Instance:
     order: LinearOrder
 
     def __post_init__(self):
-        agents = tuple(self.agents)
-        houses = tuple(self.houses)
-        endowment = tuple(self.endowment)
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "houses", houses)
-        object.__setattr__(self, "endowment", endowment)
-        n = len(agents)
+        n = len(self.agents)
         if n < MIN_AGENTS:
             raise ValueError(f"need at least {MIN_AGENTS} agents, got {n}")
-        if len(houses) != n:
+        if len(self.houses) != n:
             raise ValueError("must have exactly as many houses as agents")
-        if len(set(agents)) != n or len(set(houses)) != n:
+        if len(set(self.agents)) != n or len(set(self.houses)) != n:
             raise ValueError("agent and house names must be unique")
-        if sorted(endowment) != list(range(n)):
+        if sorted(self.endowment) != list(range(n)):
             raise ValueError("endowment must be a bijection agents -> houses")
         if self.order.n != n:
             raise ValueError("order must cover exactly the houses")
@@ -302,12 +288,10 @@ class Profile:
     prefs: tuple[Preference, ...]
 
     def __post_init__(self):
-        prefs = tuple(self.prefs)
-        object.__setattr__(self, "prefs", prefs)
         n = self.instance.n
-        if len(prefs) != n:
+        if len(self.prefs) != n:
             raise ValueError("need exactly one preference per agent")
-        for p in prefs:
+        for p in self.prefs:
             if p.m != n:
                 raise ValueError("every preference must range over all houses")
 
@@ -321,9 +305,11 @@ class Profile:
 
     def with_pref(self, agent: int, pref: Preference) -> Profile:
         """A copy of this profile with one agent's preference replaced."""
+        if not 0 <= agent < self.n:
+            raise ValueError(f"unknown agent index: {agent}")
         prefs = list(self.prefs)
         prefs[agent] = pref
-        return Profile(self.instance, tuple(prefs))
+        return Profile(self.instance, prefs)
 
 
 @_frozen
@@ -333,9 +319,7 @@ class Allocation:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        assign = tuple(self.assign)
-        object.__setattr__(self, "assign", assign)
-        if sorted(assign) != list(range(len(assign))):
+        if sorted(self.assign) != list(range(len(self.assign))):
             raise ValueError("assignment must be a bijection agents -> houses")
 
     @property

@@ -402,9 +402,7 @@ class DomainSpec:
 
     @classmethod
     def union(cls, n: int) -> DomainSpec:
-        spec = cls.all_single_peaked(n)
-        object.__setattr__(spec, "blocks", spec.blocks + cls.all_single_dipped(n).blocks)
-        return spec
+        return cls._make(cls.all_single_peaked(n).blocks + cls.all_single_dipped(n).blocks)
 
     @classmethod
     def parse(cls, text: str, n: int) -> DomainSpec:

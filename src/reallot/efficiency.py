@@ -39,11 +39,9 @@ class ImprovingCycle:
     agents: tuple[int, ...]
 
     def __post_init__(self):
-        agents = tuple(self.agents)
-        object.__setattr__(self, "agents", agents)
-        if len(agents) < 2:
+        if len(self.agents) < 2:
             raise ValueError("a trade cycle needs at least two agents")
-        if len(set(agents)) != len(agents):
+        if len(set(self.agents)) != len(self.agents):
             raise ValueError("repeated agent in cycle")
 
     @property
@@ -128,7 +126,7 @@ def find_improving_cycle(
     ranks = [p.rank_of for p in profile.prefs]
     succ = _envy_masks(ranks, mu.assign)
     cycle = _shortest_cycle(succ) if shortest else _envy_cycle(succ)
-    return None if cycle is None else ImprovingCycle(tuple(cycle))
+    return None if cycle is None else ImprovingCycle(cycle)
 
 
 def pareto_dominates(profile: Profile, nu: Allocation, mu: Allocation) -> bool:
@@ -157,11 +155,17 @@ def pareto_dominates(profile: Profile, nu: Allocation, mu: Allocation) -> bool:
 
 def is_individually_rational(profile: Profile, mu: Allocation) -> bool:
     """True iff no agent ends up strictly below their endowment."""
+    return _hurt_agent(profile, mu) is None
+
+
+def _hurt_agent(profile: Profile, mu: Allocation) -> int | None:
+    """The first agent that mu leaves strictly below their endowment, or
+    None."""
     endow = profile.instance.endowment
     for a, pref in enumerate(profile.prefs):
         if pref.rank_of[mu.assign[a]] > pref.rank_of[endow[a]]:
-            return False
-    return True
+            return a
+    return None
 
 
 def brute_force_dominator(profile: Profile, mu: Allocation) -> Allocation | None:
@@ -249,7 +253,7 @@ def apply_cycle(mu: Allocation, cycle: ImprovingCycle | Iterable[int]) -> Alloca
             raise ValueError(f"unknown agent index: {a}")
     for i, a in enumerate(agents):
         assign[a] = mu.assign[agents[(i + 1) % k]]
-    return Allocation(tuple(assign))
+    return Allocation(assign)
 
 
 def count_efficient(profile: Profile) -> tuple[int, int]:

@@ -185,7 +185,7 @@ CATALOGUE = (
     Mutant(
         "improving-cycle-never-reported",
         "efficiency.py",
-        "return None if cycle is None else ImprovingCycle(tuple(cycle))",
+        "return None if cycle is None else ImprovingCycle(cycle)",
         "return None",
         ("tests/test_construct.py::test_sd_bundle_reproduces_the_gap_example",),
     ),

@@ -98,6 +98,8 @@ def test_preference_rejects_non_permutations():
         Preference((0, 1, 3))
     with pytest.raises(ValueError):
         Preference(())
+    with pytest.raises(ValueError):
+        Preference(("h1", "h2"))
 
 
 def test_linear_order_round_trip_and_comparisons():
@@ -107,6 +109,19 @@ def test_linear_order_round_trip_and_comparisons():
     assert order.reversed().by_rank == (1, 0, 2)
     with pytest.raises(ValueError):
         LinearOrder((0, 0, 2))
+    # A negative house would index from the end, and one past the last out
+    # of range: each, like a repeat, is refused as a bad order.
+    for houses in ((-1, 0, 1), (0, 5, 1), (0, 0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^position must be a bijection onto 0\.\.n-1$"):
+            LinearOrder.from_left_to_right(houses)
+
+
+def test_inverse_is_the_permutation_inverse_or_none():
+    for n in range(5):
+        for perm in itertools.product(range(-1, n + 1), repeat=n):
+            is_perm = sorted(perm) == list(range(n))
+            expected = tuple(sorted(range(n), key=perm.__getitem__)) if is_perm else None
+            assert core._inverse(perm) == expected
 
 
 def test_instance_validation():
@@ -145,6 +160,9 @@ def test_profile_validation_and_replacement():
         Profile(inst, prefs[:2])
     with pytest.raises(ValueError):
         Profile(inst, (Preference((0, 1)),) * 3)
+    for agent in (-1, -4, 3):
+        with pytest.raises(ValueError, match=f"^unknown agent index: {agent}$"):
+            profile.with_pref(agent, pref("h3 h2 h1"))
 
 
 def test_allocation_validation():
@@ -283,6 +301,24 @@ def test_value_types_keep_the_frozen_dataclass_contract():
             assert getattr(y, f) is v
         made.add(type(x))
     assert len(made) == 15 and made == decorated - {LinearOrder, Preference}
+    # ``__init__`` passes every field annotated ``tuple[...]`` through
+    # ``tuple()``, so lists give the value that tuples give; ``_make`` keeps
+    # what it is given. DomainSpec writes its own ``__init__``.
+    coerced = set()
+    for x in samples:
+        cls = type(x)
+        fields = tuple(cls.__annotations__)
+        tuples = [f for f in fields if cls.__annotations__[f].startswith("tuple[")]
+        if not tuples or cls is DomainSpec:
+            continue
+        listed = {f: list(getattr(x, f)) if f in tuples else getattr(x, f) for f in fields}
+        y = cls(**listed)
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        assert all(type(getattr(y, f)) is tuple for f in tuples)
+        if cls._make is not None:
+            assert type(getattr(cls._make(*listed.values()), tuples[0])) is list
+        coerced.add(cls)
+    assert len(coerced) == 11 and ImprovementWitness in coerced
     # The inverses set by __post_init__ are not fields.
     assert tuple(LinearOrder.__annotations__) == ("position",)
     assert tuple(Preference.__annotations__) == ("ranking",)
