@@ -115,10 +115,13 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...] | None:
     n = len(perm)
     valid = range(n)  # ``in`` refuses a string, where ``<=`` would raise
     inverse = [None] * n
-    for i, x in enumerate(perm):
-        if x not in valid or inverse[x] is not None:
-            return None
-        inverse[x] = i
+    try:
+        for i, x in enumerate(perm):
+            if x not in valid or inverse[x] is not None:
+                return None
+            inverse[x] = i
+    except TypeError:  # ``1.0 in range(3)`` holds, but 1.0 is no index
+        return None
     return tuple(inverse)
 
 
@@ -250,7 +253,7 @@ class Instance:
             raise ValueError("must have exactly as many houses as agents")
         if len(set(self.agents)) != n or len(set(self.houses)) != n:
             raise ValueError("agent and house names must be unique")
-        if sorted(self.endowment) != list(range(n)):
+        if _inverse(self.endowment) is None:
             raise ValueError("endowment must be a bijection agents -> houses")
         if self.order.n != n:
             raise ValueError("order must cover exactly the houses")
@@ -319,7 +322,7 @@ class Allocation:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.assign) != list(range(len(self.assign))):
+        if _inverse(self.assign) is None:
             raise ValueError("assignment must be a bijection agents -> houses")
 
     @property

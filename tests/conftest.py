@@ -1,5 +1,6 @@
-"""Shared fixtures: the 3-agent mixed-domain gap instance, builders, the
-checked-rebuild gate of ``_make`` values, the envy-graph, cycle-search and dominator oracles, the paused-walk helper,
+"""Shared fixtures: the 3-agent mixed-domain gap instance, the pool for
+small sweeps, builders, the checked-rebuild gate of ``_make`` values, the
+envy-graph, cycle-search and dominator oracles, the paused-walk helper,
 the literal witness, extractor and extraction-claim oracles, the kernel
 row by definition, the per-permutation extraction pass, the walk-free
 efficiency oracles and the direct single-dipped oracles."""
@@ -8,9 +9,11 @@ import itertools
 import pickle
 from collections import deque
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
+from reallot import equivalence
 from reallot.core import Allocation, Instance, LinearOrder, Preference, Profile
 from reallot.domains import NOT_SINGLE_DIPPED, ViolationWitness, is_single_dipped, is_single_peaked
 from reallot.efficiency import (
@@ -24,6 +27,21 @@ from reallot.efficiency import (
     pareto_dominates,
 )
 from reallot.equivalence import ImprovementWitness
+
+
+def pool_small_sweeps():
+    """A patch of the runner's break-even to 0: under it, a sweep with
+    ``jobs`` >= 2 starts its pool however small its estimated work. As a
+    context manager for Hypothesis tests, which take no function-scoped
+    fixture; other tests use the ``small_sweeps_pool`` fixture."""
+    return mock.patch.object(equivalence, "_POOL_MIN_WORK", 0)
+
+
+@pytest.fixture
+def small_sweeps_pool():
+    """Small sweeps with ``jobs`` >= 2 reach the pool for the whole test."""
+    with pool_small_sweeps():
+        yield
 
 
 def pref(text: str) -> Preference:

@@ -83,6 +83,20 @@ CATALOGUE = (
         ("tests/test_equivalence.py::test_worker_count_is_capped_by_cores_and_tasks",),
     ),
     Mutant(
+        "runner-always-pools",
+        "equivalence.py",
+        "if workers <= 1 or work < _POOL_MIN_WORK:",
+        "if workers <= 1:",
+        ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_from_the_break_even_on",),
+    ),
+    Mutant(
+        "runner-never-pools",
+        "equivalence.py",
+        "if workers <= 1 or work < _POOL_MIN_WORK:",
+        "if True:",
+        ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_from_the_break_even_on",),
+    ),
+    Mutant(
         "kernel-prunes-no-prefix",
         "efficiency.py",
         "if succ[g] & bit:",

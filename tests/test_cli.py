@@ -25,7 +25,7 @@ from reallot.cli import (
 from reallot.core import Allocation, Instance, LinearOrder, ParseError, Preference, Profile
 from reallot.efficiency import find_blocking_pair, find_improving_cycle, pareto_dominates
 
-from conftest import profile_from
+from conftest import pool_small_sweeps, profile_from
 
 EXAMPLE_INSTANCE = """\
 order: h1 h2 h3
@@ -295,6 +295,7 @@ def test_verify_command_outputs(capsys):
     assert "profiles checked: 120" in out
 
 
+@pytest.mark.usefixtures("small_sweeps_pool")
 def test_verify_is_deterministic_across_jobs(capsys):
     args = ["verify", "--domain", "sp,sd,sp", "--n", "3", "--exhaustive"]
     main(args)
@@ -760,9 +761,11 @@ def test_cli_fuzz_exits_cleanly_and_starts_no_runaway_pool(case, files):
         Path(paths["allocation"]).write_bytes(allocation_bytes)
         stdout, stderr = io.StringIO(), io.StringIO()
         # A small budget keeps exhaustive n = 4 sweeps of `all` on the
-        # refusal path (exit 3) and the rest quick.
+        # refusal path (exit 3) and the rest quick. Every sweep with jobs
+        # >= 2 reaches the recording pool, however small its work, so the
+        # worker counts below are those the pool would be asked for.
         with mock.patch.object(equivalence, "ProcessPoolExecutor", RecordingPool), \
-                mock.patch.dict(os.environ, {"REALLOT_BUDGET": "100000"}), \
+                pool_small_sweeps(), mock.patch.dict(os.environ, {"REALLOT_BUDGET": "100000"}), \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([arg.format(**paths) for arg in argv])
     assert code in (0, 1, 2, 3, 4)

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -122,6 +123,25 @@ def test_inverse_is_the_permutation_inverse_or_none():
             is_perm = sorted(perm) == list(range(n))
             expected = tuple(sorted(range(n), key=perm.__getitem__)) if is_perm else None
             assert core._inverse(perm) == expected
+
+
+def test_every_bijection_refuses_an_integral_float():
+    # 1.0 passes a sorted-equals-range check and ``in range(3)``, but it
+    # indexes no tuple: each value type refuses it with its own message.
+    entries = (0, 1.0, 2)
+    names = (("a1", "a2", "a3"), ("h1", "h2", "h3"))
+    for build, message in (
+        (Preference, "ranking must be a permutation of 0..m-1"),
+        (LinearOrder, "position must be a bijection onto 0..n-1"),
+        (LinearOrder.from_left_to_right, "position must be a bijection onto 0..n-1"),
+        (Allocation, "assignment must be a bijection agents -> houses"),
+        (
+            lambda e: Instance(*names, e, LinearOrder.identity(3)),
+            "endowment must be a bijection agents -> houses",
+        ),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(entries)
 
 
 def test_instance_validation():
