@@ -113,14 +113,14 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...] | None:
     """The inverse of ``perm`` (``inverse[perm[i]] == i``), or None when
     ``perm`` is not a permutation of 0..n-1."""
     n = len(perm)
-    valid = range(n)  # ``in`` refuses a string, where ``<=`` would raise
+    valid = range(n)
     inverse = [None] * n
     try:
         for i, x in enumerate(perm):
             if x not in valid or inverse[x] is not None:
                 return None
             inverse[x] = i
-    except TypeError:  # ``1.0 in range(3)`` holds, but 1.0 is no index
+    except TypeError:  # ``1.0 in range(3)`` holds, but 1.0 indexes no list
         return None
     return tuple(inverse)
 
