@@ -9,6 +9,7 @@ across concurrent workers.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from typing import Sequence
 
@@ -113,7 +114,7 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...] | None:
     """The inverse of ``perm`` (``inverse[perm[i]] == i``), or None when
     ``perm`` is not a permutation of 0..n-1."""
     n = len(perm)
-    valid = range(n)
+    valid = range(n)  # ``in`` refuses a string, where ``<=`` would raise
     inverse = [None] * n
     try:
         for i, x in enumerate(perm):
@@ -123,6 +124,15 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...] | None:
     except TypeError:  # ``1.0 in range(3)`` holds, but 1.0 indexes no list
         return None
     return tuple(inverse)
+
+
+def _is_permutation(perm: Sequence[int]) -> bool:
+    """Whether ``perm`` is a permutation of 0..n-1: ``_inverse``'s test at
+    C speed, for the values that need no inverse."""
+    try:
+        return sorted(map(operator.index, perm)) == list(range(len(perm)))
+    except TypeError:  # a float equal to an integer sorts, but indexes nothing
+        return False
 
 
 # Domain-spec entries naming the two structured preference families.
@@ -253,7 +263,7 @@ class Instance:
             raise ValueError("must have exactly as many houses as agents")
         if len(set(self.agents)) != n or len(set(self.houses)) != n:
             raise ValueError("agent and house names must be unique")
-        if _inverse(self.endowment) is None:
+        if not _is_permutation(self.endowment):
             raise ValueError("endowment must be a bijection agents -> houses")
         if self.order.n != n:
             raise ValueError("order must cover exactly the houses")
@@ -322,7 +332,7 @@ class Allocation:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        if _inverse(self.assign) is None:
+        if not _is_permutation(self.assign):
             raise ValueError("assignment must be a bijection agents -> houses")
 
     @property

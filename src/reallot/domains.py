@@ -496,16 +496,13 @@ def _profiles(
                 if not skip or not all(p in skip for p in prefs):
                     yield prefs
         return
-    # Resolved once per call, not once per draw; a block's samplers, which
-    # may build a family's draw table, on that block's first draw.
+    # Resolved once per call, not once per draw.
     skips = [_swept_before(order, k) for k in range(len(spec.blocks))]
-    draws = [None] * len(spec.blocks)
+    draws = [[_entry(e).sampler(order) for e in block] for block in spec.blocks]
     for seed in seeds:
         rng = random.Random(seed)
         while True:
             k = rng.getrandbits(1) if len(draws) > 1 else 0
-            if draws[k] is None:
-                draws[k] = [_entry(e).sampler(order) for e in spec.blocks[k]]
             skip = skips[k]
             prefs = tuple(draw(rng) for draw in draws[k])
             if not skip or not all(p in skip for p in prefs):

@@ -349,11 +349,11 @@ def _usable_cpus() -> int:
 _POOL_MIN_WORK = 100_000
 
 
-def _run_tasks(task_fn, tasks, jobs: int, work: int):
+def _run_tasks(task_fn, tasks, jobs: int):
     # Never more workers than usable cores or tasks: a randomized sweep
     # makes one task per trial when jobs is large.
     workers = min(jobs, _usable_cpus(), len(tasks))
-    if workers <= 1 or work < _POOL_MIN_WORK:
+    if workers <= 1:
         return [task_fn(t) for t in tasks]
     pool_class = ProcessPoolExecutor
     if pool_class is None:
@@ -424,7 +424,8 @@ def verify_equivalence(
 
     _definitional_spot_check(instance, _profiles(spec, instance, seeds))
 
-    results = _run_tasks(task_fn, tasks, jobs, scanned * math.factorial(n))
+    work = scanned * math.factorial(n)
+    results = _run_tasks(task_fn, tasks, jobs if work >= _POOL_MIN_WORK else 1)
     profiles = sum(r[0] for r in results)
     merged: dict[tuple, Violation] = {}
     for _, found in results:

@@ -85,16 +85,16 @@ CATALOGUE = (
     Mutant(
         "runner-always-pools",
         "equivalence.py",
-        "if workers <= 1 or work < _POOL_MIN_WORK:",
-        "if workers <= 1:",
-        ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_from_the_break_even_on",),
+        "jobs if work >= _POOL_MIN_WORK else 1)",
+        "jobs)",
+        ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_at_its_estimated_work",),
     ),
     Mutant(
         "runner-never-pools",
         "equivalence.py",
-        "if workers <= 1 or work < _POOL_MIN_WORK:",
-        "if True:",
-        ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_from_the_break_even_on",),
+        "jobs if work >= _POOL_MIN_WORK else 1)",
+        "1)",
+        ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_at_its_estimated_work",),
     ),
     Mutant(
         "kernel-prunes-no-prefix",

@@ -375,23 +375,6 @@ def test_the_sampled_loop_resolves_skips_and_entries_once_per_call(monkeypatch):
     assert len(resolved) == 3
 
 
-def test_a_union_draw_builds_only_the_draw_table_of_its_block(monkeypatch):
-    # A one-seed union draw resolves the samplers of the block its coin
-    # picks (seed 1: the SP block, seed 0: the SD block), so the other
-    # kind's draw table stays unbuilt until a draw needs it.
-    assert [random.Random(seed).getrandbits(1) for seed in (1, 0)] == [0, 1]
-    union, inst = DomainSpec.union(5), Instance.default(5)
-    table = domains._draw_table
-    for seed, step, holds in ((1, -1, is_single_peaked), (0, 1, is_single_dipped)):
-        _clear_family_caches()
-        asked = []
-        monkeypatch.setattr(domains, "_draw_table", lambda order, s: asked.append(s) or table(order, s))
-        profile = sample_profile(union, inst, seed)
-        monkeypatch.undo()
-        assert all(holds(p, inst.order) for p in profile.prefs)
-        assert set(asked) == {step} and table.cache_info().currsize == 1
-
-
 class _MaskFeed:
     """Stands in for ``random.Random``: ``getrandbits`` hands out one
     chosen mask, so a sampler shows which preference that mask draws."""

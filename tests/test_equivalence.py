@@ -717,11 +717,10 @@ def pool_sizes(monkeypatch):
 @pytest.mark.usefixtures("small_sweeps_pool")
 def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch, pool_sizes):
     sizes = pool_sizes
-    work = equivalence._POOL_MIN_WORK
     monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert equivalence._run_tasks(abs, [-1, -2, -3], 10_000, work) == [1, 2, 3]
-    assert equivalence._run_tasks(abs, list(range(-9, 0)), 10_000, work) == list(range(9, 0, -1))
-    assert equivalence._run_tasks(abs, [-1, -2], 1, work) == [1, 2]
+    assert equivalence._run_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 10_000) == list(range(9, 0, -1))
+    assert equivalence._run_tasks(abs, [-1, -2], 1) == [1, 2]
     assert sizes == [3, 4]
 
     spec = DomainSpec.parse("sp,sd,sp", 3)
@@ -731,67 +730,60 @@ def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch, pool_sizes):
     assert wide == verify_equivalence(spec, 3, scope, jobs=1)
 
     monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {5})
-    assert equivalence._run_tasks(abs, [-1, -2], 8, work) == [1, 2]
+    assert equivalence._run_tasks(abs, [-1, -2], 8) == [1, 2]
     assert len(sizes) == 3
 
 
 def test_worker_count_follows_the_affinity_set_not_the_host(monkeypatch, pool_sizes):
     sizes = pool_sizes
-    work = equivalence._POOL_MIN_WORK
     # A host of 64 CPUs of which this process may use two, as under taskset.
     monkeypatch.setattr(equivalence.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {2, 3})
-    assert equivalence._run_tasks(abs, list(range(-9, 0)), 32, work) == list(range(9, 0, -1))
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 32) == list(range(9, 0, -1))
     assert sizes == [2]
     monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {7})
-    assert equivalence._run_tasks(abs, list(range(-9, 0)), 32, work) == list(range(9, 0, -1))
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 32) == list(range(9, 0, -1))
     assert sizes == [2]
 
     # Without an affinity call the host's count caps, and an unknown count
     # runs serially.
     monkeypatch.delattr(equivalence.os, "sched_getaffinity")
     assert equivalence._usable_cpus() == 64
-    assert equivalence._run_tasks(abs, list(range(-9, 0)), 3, work) == list(range(9, 0, -1))
+    assert equivalence._run_tasks(abs, list(range(-9, 0)), 3) == list(range(9, 0, -1))
     assert sizes == [2, 3]
     monkeypatch.setattr(equivalence.os, "cpu_count", lambda: None)
     assert equivalence._usable_cpus() == 1
-    assert equivalence._run_tasks(abs, [-1, -2], 8, work) == [1, 2]
+    assert equivalence._run_tasks(abs, [-1, -2], 8) == [1, 2]
     assert sizes == [2, 3]
 
 
-@pytest.mark.parametrize("scope", [Scope.randomized(seed=9, trials=40), Scope.exhaustive()])
-def test_a_sweep_starts_its_pool_from_the_break_even_on(monkeypatch, pool_sizes, scope):
-    # Both sweeps are estimated at 240 checks: 40 seeds, or the 10 * 4
-    # orbit picks of the SP group {a1, a3} and the SD group {a2}, times 3!.
-    # One unit below the break-even the sweep runs in process; at it, the
-    # pool starts. The report is the same on both sides and with jobs=1.
+@pytest.mark.parametrize(
+    ("spec", "n", "scope", "work", "gaps"),
+    [
+        # 40 seeds, or the 10 * 4 orbit picks of the SP group {a1, a3} and
+        # the SD group {a2}, times 3!.
+        (DomainSpec.parse("sp,sd,sp", 3), 3, Scope.randomized(seed=9, trials=40), 40 * 6, True),
+        (DomainSpec.parse("sp,sd,sp", 3), 3, Scope.exhaustive(), 10 * 4 * 6, True),
+        # The union at n = 4 is 196,224 unreduced checks, but each block's
+        # one group of four agents picks a multiset of 4 of its 8 lists.
+        (DomainSpec.union(4), 4, Scope.exhaustive(), 2 * 330 * 24, False),
+        # Two groups of two agents, each picking 2 of its 8 lists.
+        (DomainSpec.parse("sp,sd,sp,sd", 4), 4, Scope.exhaustive(), 36 * 36 * 24, True),
+        (DomainSpec.parse("sd", 6), 6, Scope.randomized(seed=1, trials=60), 60 * 720, False),
+    ],
+    ids=["randomized", "exhaustive", "union-n4", "exhaustive-n4", "randomized-n6"],
+)
+def test_a_sweep_starts_its_pool_at_its_estimated_work(monkeypatch, pool_sizes, spec, n, scope, work, gaps):
+    # The estimate is the seeds or orbit picks times n!, not the unreduced
+    # checks. One unit below it the sweep runs in process; at it, the pool
+    # starts. The report is the same on both sides and with jobs=1.
     monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {0, 1})
-    spec = DomainSpec.parse("sp,sd,sp", 3)
-    one = verify_equivalence(spec, 3, scope, jobs=1)
-    assert one.violations
-    monkeypatch.setattr(equivalence, "_POOL_MIN_WORK", 241)
-    below = verify_equivalence(spec, 3, scope, jobs=2)
+    one = verify_equivalence(spec, n, scope, jobs=1)
+    assert bool(one.violations) == gaps
+    monkeypatch.setattr(equivalence, "_POOL_MIN_WORK", work + 1)
+    below = verify_equivalence(spec, n, scope, jobs=2)
     assert pool_sizes == []
-    monkeypatch.setattr(equivalence, "_POOL_MIN_WORK", 240)
-    at = verify_equivalence(spec, 3, scope, jobs=2)
+    monkeypatch.setattr(equivalence, "_POOL_MIN_WORK", work)
+    at = verify_equivalence(spec, n, scope, jobs=2)
     assert pool_sizes == [2]
     assert below == one and at == one
-
-
-def test_sweep_work_counts_orbit_picks_or_seeds_not_unreduced_checks(monkeypatch):
-    seen = []
-    run = equivalence._run_tasks
-
-    def spy(task_fn, tasks, jobs, work):
-        seen.append(work)
-        return run(task_fn, tasks, jobs, work)
-
-    monkeypatch.setattr(equivalence, "_run_tasks", spy)
-    # The union at n = 4 is 196,224 unreduced checks, but each block's one
-    # group of four agents picks a multiset of 4 of its 8 lists: 2 * 330.
-    union = verify_equivalence(DomainSpec.union(4), 4, Scope.exhaustive())
-    assert union.allocations_checked == 196_224
-    # Two groups of two agents, each picking 2 of 8 lists: 36 * 36.
-    verify_equivalence(DomainSpec.parse("sp,sd,sp,sd", 4), 4, Scope.exhaustive())
-    verify_equivalence(DomainSpec.parse("sd", 6), 6, Scope.randomized(seed=1, trials=60))
-    assert seen == [660 * 24, 36 * 36 * 24, 60 * 720]
