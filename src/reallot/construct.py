@@ -14,7 +14,7 @@ import functools
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Allocation, Instance, LinearOrder, Preference, Profile, _frozen
+from .core import Allocation, Instance, LinearOrder, Preference, Profile, _frozen, _is_index
 from .domains import (
     NOT_SINGLE_PEAKED,
     ViolationWitness,
@@ -58,7 +58,7 @@ def complete_sp(
     m, pos, by_rank = order.n, order.position, order.by_rank
     above: dict[int, list[int]] = {h: [] for h in range(m)}  # positions that must join first
     for better, worse in constraints:
-        if not {better, worse} <= above.keys():
+        if not (_is_index(better, m) and _is_index(worse, m)):
             raise ValueError(f"unknown house index in constraint {(better, worse)}")
         above[worse].append(pos[better])
     starts = range(m) if peak_hint is None else [pos[h] for h in above if h == peak_hint]
@@ -96,7 +96,7 @@ def _resolve_roles_and_beta(
         else:
             roles = (0, 1, 2)
     roles = tuple(roles)
-    if len(roles) != 3 or len(set(roles)) != 3 or not all(0 <= r < n for r in roles):
+    if len(roles) != 3 or len(set(roles)) != 3 or not all(_is_index(r, n) for r in roles):
         raise ValueError("roles must be three distinct agent indices")
     rest_agents = [a for a in range(n) if a not in roles]
     rest_houses = [h for h in range(n) if h not in witness_houses]
@@ -109,7 +109,8 @@ def _resolve_roles_and_beta(
             pairs = tuple(sorted((a, beta[a]) for a in rest_agents))
         except KeyError as exc:
             raise ValueError(f"beta is missing agent {exc.args[0]}") from exc
-        if sorted(h for _, h in pairs) != sorted(rest_houses):
+        houses = [h for _, h in pairs]
+        if not all(_is_index(h, n) for h in houses) or sorted(houses) != sorted(rest_houses):
             raise ValueError("beta must biject the remaining agents onto the remaining houses")
     return roles, pairs
 

@@ -135,6 +135,23 @@ def _is_permutation(perm: Sequence[int]) -> bool:
         return False
 
 
+def _is_index(x, n: int) -> bool:
+    """Whether ``x`` is an index in 0..n-1: the rule ``_is_permutation``
+    applies to each entry, so a float or a string is not one."""
+    try:
+        return 0 <= operator.index(x) < n
+    except TypeError:
+        return False
+
+
+def _check_count(value, what: str) -> None:
+    """Refuse a trial or job count that is not an ``int`` of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1, got {value}")
+
+
 # Domain-spec entries naming the two structured preference families.
 SINGLE_PEAKED = "sp"
 SINGLE_DIPPED = "sd"
@@ -222,7 +239,7 @@ class Preference:
         return self.ranking[-1]
 
     def _check(self, h: int):
-        if not 0 <= h < len(self.ranking):
+        if not _is_index(h, len(self.ranking)):
             raise ValueError(f"unknown house index: {h}")
 
     def prefers(self, h: int, g: int) -> bool:
@@ -318,7 +335,7 @@ class Profile:
 
     def with_pref(self, agent: int, pref: Preference) -> Profile:
         """A copy of this profile with one agent's preference replaced."""
-        if not 0 <= agent < self.n:
+        if not _is_index(agent, self.n):
             raise ValueError(f"unknown agent index: {agent}")
         prefs = list(self.prefs)
         prefs[agent] = pref

@@ -25,7 +25,7 @@ import math
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile, _frozen
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_DIPPED, SINGLE_PEAKED, Instance, LinearOrder, Preference, Profile, _check_count, _frozen
 
 UNRESTRICTED = "all"
 
@@ -510,13 +510,6 @@ def _profiles(
         yield prefs
 
 
-def _check_trials(trials: int) -> None:
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise ValueError(f"trial count must be an int, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {trials}")
-
-
 def _trial_seeds(seed: int | None, trials: int) -> list[int]:
     master = random.Random(seed)
     return [master.getrandbits(64) for _ in range(trials)]
@@ -536,7 +529,7 @@ class Scope:
         if self.kind == "randomized":
             if self.seed is None or not self.trials:
                 raise ValueError("randomized scope needs a seed and a trial count")
-            _check_trials(self.trials)
+            _check_count(self.trials, "trial count")
 
     @classmethod
     def exhaustive(cls) -> Scope:

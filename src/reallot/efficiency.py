@@ -26,7 +26,7 @@ import math
 from collections import deque
 from typing import Iterable, Sequence
 
-from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, LinearOrder, Preference, Profile, _frozen
+from .core import BRUTE_FORCE_MAX_AGENTS, SINGLE_PEAKED, Allocation, BudgetError, LinearOrder, Preference, Profile, _frozen, _is_index
 
 RED = "red"
 BLUE = "blue"
@@ -249,7 +249,7 @@ def apply_cycle(mu: Allocation, cycle: ImprovingCycle | Iterable[int]) -> Alloca
     assign = list(mu.assign)
     n = len(assign)
     for a in agents:
-        if not 0 <= a < n:
+        if not _is_index(a, n):
             raise ValueError(f"unknown agent index: {a}")
     for i, a in enumerate(agents):
         assign[a] = mu.assign[agents[(i + 1) % k]]

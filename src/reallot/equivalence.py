@@ -26,6 +26,7 @@ from .core import (
     BudgetError,
     Instance,
     Profile,
+    _check_count,
     _frozen,
     _resolve_budget,
     _spend,
@@ -33,7 +34,6 @@ from .core import (
 from .domains import (
     DomainSpec,
     Scope,
-    _check_trials,
     _entry,
     _profiles,
     _swept_before,
@@ -328,11 +328,6 @@ def _scan_random_task(args) -> tuple[int, list[Violation]]:
     return len(seeds), violations
 
 
-# The pool class is imported when a sweep first runs in parallel, so that
-# importing the package does not load multiprocessing; tests may set a fake.
-ProcessPoolExecutor = None
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, which
     ``taskset`` or a cpuset shrinks below the host's count, where the
@@ -355,10 +350,9 @@ def _run_tasks(task_fn, tasks, jobs: int):
     workers = min(jobs, _usable_cpus(), len(tasks))
     if workers <= 1:
         return [task_fn(t) for t in tasks]
-    pool_class = ProcessPoolExecutor
-    if pool_class is None:
-        from concurrent.futures import ProcessPoolExecutor as pool_class
-    with pool_class(max_workers=workers) as pool:
+    # Imported here, so that importing the package loads no multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task_fn, tasks))
 
 
@@ -390,12 +384,11 @@ def verify_equivalence(
     h -> n-1-h when every admissible list is closed under it, and counts
     each orbit by its size; the budget still counts every profile. Worker
     count never changes the report: partitions are merged in canonical
-    order and violations re-sorted. ``jobs`` must be at least 1; a sweep
-    whose scanned profiles (orbits, or seeds) times n! fall below a
-    measured break-even runs in process whatever ``jobs`` says.
+    order and violations re-sorted. ``jobs`` must be an int of at least
+    1; a sweep whose scanned profiles (orbits, or seeds) times n! fall
+    below a measured break-even runs in process whatever ``jobs`` says.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_count(jobs, "jobs")
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
     _check_sweep_agents(n)
@@ -404,17 +397,13 @@ def verify_equivalence(
     _spend(checks, "checks", f"{scope.kind} sweep", budget)
     seeds = scope.seeds()
     if seeds is None:
-        tasks = [
-            (spec, n, k, i)
-            for k, block in enumerate(spec.blocks)
-            for i in range(_entry(block[0]).size(instance.order))
-        ]
-        # The orbits the tasks pick from, before the skip and the mirror
-        # fold: per group, the multisets of its size over its list.
-        scanned = 0
-        for block in spec.blocks:
-            groups = _groups(block, instance.order).items()
-            scanned += math.prod(math.comb(len(lst) + len(ag) - 1, len(ag)) for lst, ag in groups)
+        # A task per index of each block's first list. Before the skip and
+        # the mirror fold, a group picks the multisets of its size over its list.
+        tasks, scanned = [], 0
+        for k, block in enumerate(spec.blocks):
+            groups = _groups(block, instance.order)
+            tasks += [(spec, n, k, i) for i in range(len(next(iter(groups))))]
+            scanned += math.prod(math.comb(len(lst) + len(ag) - 1, len(ag)) for lst, ag in groups.items())
         task_fn = _scan_orbit_task
     else:
         scanned = len(seeds)
@@ -450,7 +439,7 @@ def find_gap_witness(
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
     _check_sweep_agents(n)
-    _check_trials(trials)
+    _check_count(trials, "trial count")
     instance = Instance.default(n)
     fits = spec.space_size(instance.order) * math.factorial(n) <= _resolve_budget(budget)
     for prefs in _profiles(spec, instance, None if fits else _trial_seeds(seed, trials)):

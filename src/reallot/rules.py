@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 # The sweep harnesses import ``domains`` and ``efficiency`` when they run,
 # so that ``reallot ttc`` loads the rule alone.
-from .core import Allocation, Instance, Preference, Profile, _frozen, _spend
+from .core import Allocation, Instance, Preference, Profile, _frozen, _is_permutation, _spend
 
 
 @_frozen
@@ -93,7 +93,7 @@ def serial_dictatorship(priority: Sequence[int] | None = None) -> Rule:
 
     def run(profile: Profile) -> Allocation:
         order = tuple(priority) if priority is not None else range(profile.n)
-        if sorted(order) != list(range(profile.n)):
+        if len(order) != profile.n or not _is_permutation(order):
             raise ValueError("priority must list every agent once")
         return _serial_picks([p.ranking for p in profile.prefs], order)
 

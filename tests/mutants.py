@@ -180,6 +180,21 @@ CATALOGUE = (
         "if True:",
         ("tests/test_core.py::test_value_types_keep_the_frozen_dataclass_contract",),
     ),
+    Mutant(
+        # A float equal to an index passes, and fails later as a TypeError.
+        "index-rule-compares-the-value",
+        "core.py",
+        "return 0 <= operator.index(x) < n",
+        "return 0 <= x < n",
+        ("tests/test_core.py::test_prefers_basics",),
+    ),
+    Mutant(
+        "count-rule-accepts-a-bool",
+        "core.py",
+        "if isinstance(value, bool) or not isinstance(value, int):",
+        "if not isinstance(value, int):",
+        ("tests/test_equivalence.py::test_verify_equivalence_rejects_nonpositive_jobs",),
+    ),
     # One mutant per invariant guard that no valid input reaches: each breaks
     # what its guard protects, and the named test fails on the guard's error.
     Mutant(

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import contextlib
 import io
 import os
@@ -764,7 +765,7 @@ def test_cli_fuzz_exits_cleanly_and_starts_no_runaway_pool(case, files):
         # refusal path (exit 3) and the rest quick. Every sweep with jobs
         # >= 2 reaches the recording pool, however small its work, so the
         # worker counts below are those the pool would be asked for.
-        with mock.patch.object(equivalence, "ProcessPoolExecutor", RecordingPool), \
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingPool), \
                 pool_small_sweeps(), mock.patch.dict(os.environ, {"REALLOT_BUDGET": "100000"}), \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([arg.format(**paths) for arg in argv])

@@ -64,6 +64,8 @@ def test_complete_sp_picks_first_canonical_match():
         complete_sp(IDENTITY3, [(0, 1)], peak_hint=2)
     with pytest.raises(ValueError, match=r"^unknown house index in constraint \(0, 3\)$"):
         complete_sp(IDENTITY3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"^unknown house index in constraint \(1\.0, 2\)$"):
+        complete_sp(IDENTITY3, [(1.0, 2)])
 
 
 def _complete_sp_by_walk(order, constraints, peak_hint=None):
@@ -254,6 +256,13 @@ def test_explicit_roles_and_beta():
     assert_bundle_sound(bundle, order, "sp")
     with pytest.raises(ValueError):
         build_sp_counterexample(order, offender, roles=(0, 0, 1))
+    for bad_roles in ((0, 1.0, 2), ("a", 1, 2)):
+        with pytest.raises(ValueError, match="^roles must be three distinct agent indices$"):
+            build_sp_counterexample(order, offender, roles=bad_roles)
+    # Under the default roles (0, 1, 2) the remaining agents are 3 and 4.
+    for bad_beta in ({3: "h", 4: 4}, {3: float(rest_houses[0]), 4: rest_houses[1]}):
+        with pytest.raises(ValueError, match="^beta must biject the remaining agents onto the remaining houses$"):
+            build_sp_counterexample(order, offender, beta=bad_beta)
     with pytest.raises(ValueError):
         build_sp_counterexample(order, offender, roles=roles, beta={a: 0 for a in rest_agents})
     with pytest.raises(ValueError, match=f"^beta is missing agent {rest_agents[0]}$"):

@@ -61,6 +61,12 @@ def test_prefers_basics():
         p.prefers(0, 3)
     with pytest.raises(ValueError):
         p.weakly_prefers(-1, 0)
+    # A float equal to a house, or a string, is not a house index.
+    for h in (1.0, "a"):
+        with pytest.raises(ValueError, match=f"^unknown house index: {h}$"):
+            Preference((0, 1, 2)).prefers(h, 0)
+        with pytest.raises(ValueError, match=f"^unknown house index: {h}$"):
+            Preference((0, 1, 2)).weakly_prefers(0, h)
 
 
 def test_prefers_is_strict_total_order_exhaustively():
@@ -180,7 +186,7 @@ def test_profile_validation_and_replacement():
         Profile(inst, prefs[:2])
     with pytest.raises(ValueError):
         Profile(inst, (Preference((0, 1)),) * 3)
-    for agent in (-1, -4, 3):
+    for agent in (-1, -4, 3, 1.0, "a"):
         with pytest.raises(ValueError, match=f"^unknown agent index: {agent}$"):
             profile.with_pref(agent, pref("h3 h2 h1"))
 

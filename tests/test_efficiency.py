@@ -159,6 +159,9 @@ def test_apply_cycle_round_trip_and_errors():
         apply_cycle(mu, (0, 1, 0))
     with pytest.raises(ValueError):
         apply_cycle(mu, (0, 7))
+    for cycle, bad in (((0, 1.0), 1.0), (("a", 1), "a")):
+        with pytest.raises(ValueError, match=f"^unknown agent index: {bad}$"):
+            apply_cycle(mu, cycle)
     with pytest.raises(ValueError):
         ImprovingCycle((2, 2))
 

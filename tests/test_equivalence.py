@@ -1,6 +1,8 @@
+import concurrent.futures
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -499,7 +501,12 @@ def test_relabelling_the_agents_relabels_the_exhaustive_report(drawn):
 def test_verify_equivalence_rejects_nonpositive_jobs():
     for jobs in (0, -3):
         for scope in (Scope.exhaustive(), Scope.randomized(seed=1, trials=5)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+                verify_equivalence(DomainSpec.all_single_peaked(3), 3, scope, jobs=jobs)
+    # A job count is an int: neither a float, a string nor a bool.
+    for jobs in (1.5, "2", True):
+        for scope in (Scope.exhaustive(), Scope.randomized(seed=1, trials=5)):
+            with pytest.raises(ValueError, match=f"^jobs must be an int, got {re.escape(repr(jobs))}$"):
                 verify_equivalence(DomainSpec.all_single_peaked(3), 3, scope, jobs=jobs)
 
 
@@ -710,7 +717,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(equivalence, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

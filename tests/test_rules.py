@@ -185,7 +185,9 @@ def test_serial_dictatorship_is_strategy_proof_even_reversed():
     assert report.ok
 
 
-@pytest.mark.parametrize("priority", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)])
+@pytest.mark.parametrize(
+    "priority", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3), (0, 1.0, 2), ("a", 0, 1)]
+)
 def test_serial_dictatorship_refuses_a_priority_that_is_not_the_agents(priority):
     rule = serial_dictatorship(priority)
     with pytest.raises(ValueError, match="^priority must list every agent once$"):
