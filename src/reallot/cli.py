@@ -87,18 +87,20 @@ def parse_instance(text: str) -> Profile:
 
     house_index = {name: i for i, name in enumerate(houses)}
     n = len(houses)
+
+    def indices(names, where: str, lineno: int) -> list[int]:
+        for name in names:
+            if name not in house_index:
+                raise ParseError(f"unknown house in {where}: {name}", lineno)
+        return [house_index[name] for name in names]
+
     agents: list[str] = []
     prefs: list[Preference] = []
     for lineno, name, ranking_text in agent_lines:
         if name in agents:
             raise ParseError(f"duplicate agent name: {name}", lineno)
         agents.append(name)
-        tokens = ranking_text.split()
-        ranking = []
-        for tok in tokens:
-            if tok not in house_index:
-                raise ParseError(f"unknown house in ranking: {tok}", lineno)
-            ranking.append(house_index[tok])
+        ranking = indices(ranking_text.split(), "ranking", lineno)
         if sorted(ranking) != list(range(n)):
             raise ParseError("ranking must list every house exactly once", lineno)
         prefs.append(Preference(ranking))
@@ -119,15 +121,9 @@ def parse_instance(text: str) -> Profile:
             mapping[agent] = house
         if set(mapping) != set(agents):
             raise ParseError("endow line must cover every agent exactly once", lineno)
-        built = []
-        for name in agents:
-            house = mapping[name]
-            if house not in house_index:
-                raise ParseError(f"unknown house in endow line: {house}", lineno)
-            built.append(house_index[house])
-        if sorted(built) != list(range(n)):
+        endowment = indices([mapping[name] for name in agents], "endow line", lineno)
+        if sorted(endowment) != list(range(n)):
             raise ParseError("endowment must be a bijection", lineno)
-        endowment = built
 
     try:
         instance = Instance(agents, houses, endowment, LinearOrder.identity(n))
@@ -144,9 +140,8 @@ def serialize_instance(profile: Profile) -> str:
         f"{inst.agents[a]}:{inst.houses[inst.endowment[a]]}" for a in range(inst.n)
     )
     lines = [f"order: {order_names}", f"endow: {endow}"]
-    for a in range(inst.n):
-        ranking = " ".join(inst.houses[h] for h in profile.prefs[a].ranking)
-        lines.append(f"agent {inst.agents[a]}: {ranking}")
+    rankings = (format_preference(inst, pref) for pref in profile.prefs)
+    lines += [f"agent {name}: {ranking}" for name, ranking in zip(inst.agents, rankings)]
     return "\n".join(lines) + "\n"
 
 
@@ -284,30 +279,26 @@ def cmd_check(args) -> int:
     from .efficiency import _hurt_agent, find_blocking_pair, find_improving_cycle
 
     inst = profile.instance
-    run_all = not (args.pair or args.pareto or args.ir)
+    agents, houses = inst.agents, inst.houses
+    # (flag, verdict, checker, the line that names what the checker found)
+    rows = (
+        (args.pair, "pair-efficient", find_blocking_pair,
+         lambda pair: f"blocking pair: {agents[pair[0]]} {agents[pair[1]]}"),
+        (args.pareto, "pareto-efficient", find_improving_cycle,
+         lambda cycle: "improving cycle: " + " ".join(agents[a] for a in cycle.agents)),
+        (args.ir, "individually-rational", _hurt_agent,
+         lambda a: f"hurt agent: {agents[a]} (assigned {houses[allocation.assign[a]]}, "
+         f"endowed {houses[inst.endowment[a]]})"),
+    )
+    run_all = not any(row[0] for row in rows)
     failed = False
-    if args.pair or run_all:
-        pair = find_blocking_pair(profile, allocation)
-        print(f"pair-efficient: {'yes' if pair is None else 'no'}")
-        if pair is not None:
-            failed = True
-            print(f"  blocking pair: {inst.agents[pair[0]]} {inst.agents[pair[1]]}")
-    if args.pareto or run_all:
-        cycle = find_improving_cycle(profile, allocation)
-        print(f"pareto-efficient: {'yes' if cycle is None else 'no'}")
-        if cycle is not None:
-            failed = True
-            names = " ".join(inst.agents[a] for a in cycle.agents)
-            print(f"  improving cycle: {names}")
-    if args.ir or run_all:
-        hurt = _hurt_agent(profile, allocation)
-        print(f"individually-rational: {'yes' if hurt is None else 'no'}")
-        if hurt is not None:
-            failed = True
-            print(
-                f"  hurt agent: {inst.agents[hurt]} (assigned "
-                f"{inst.houses[allocation.assign[hurt]]}, endowed {inst.houses[inst.endowment[hurt]]})"
-            )
+    for flag, verdict, checker, detail in rows:
+        if flag or run_all:
+            found = checker(profile, allocation)
+            print(f"{verdict}: {'yes' if found is None else 'no'}")
+            if found is not None:
+                failed = True
+                print(f"  {detail(found)}")
     return 1 if failed else 0
 
 
@@ -364,16 +355,14 @@ def cmd_synth(args) -> int:
     pref = Preference(tuple(index[t] for t in tokens))
     order = LinearOrder.identity(len(universe))
 
-    if args.mode == "sp":
-        if is_single_peaked(pref, order):
-            print("preference is single-peaked; nothing to build", file=sys.stderr)
-            return 1
-        bundle = build_sp_counterexample(order, pref, seed=args.seed)
-    else:
-        if is_single_dipped(pref, order):
-            print("preference is single-dipped; nothing to build", file=sys.stderr)
-            return 1
-        bundle = build_sd_counterexample(order, pref, seed=args.seed)
+    member, family, build = {
+        "sp": (is_single_peaked, "single-peaked", build_sp_counterexample),
+        "sd": (is_single_dipped, "single-dipped", build_sd_counterexample),
+    }[args.mode]
+    if member(pref, order):
+        print(f"preference is {family}; nothing to build", file=sys.stderr)
+        return 1
+    bundle = build(order, pref, seed=args.seed)
 
     # Rebuild the profile over the user's house names; agents stay a1..an.
     # The rankings and order are the bundle's, which the builder has
@@ -444,22 +433,19 @@ def cmd_enum(args) -> int:
         enumerate_single_peaked,
     )
 
+    kind, m = args.family, args.m
+    size, enumerate_family = {
+        SINGLE_PEAKED: (f"2^{m - 1}", enumerate_single_peaked),
+        SINGLE_DIPPED: (f"2^{m - 1}", enumerate_single_dipped),
+        UNRESTRICTED: (f"{m}!", lambda order: enumerate_all_preferences(m)),
+    }[kind]
     # Sized before any name or order is built: a huge --m must be refused,
     # not allocated. Under the budget the families stream.
-    kind = SINGLE_PEAKED if args.sp else SINGLE_DIPPED if args.sd else UNRESTRICTED
     budget = _resolve_budget(None)
-    if _family_exceeds(kind, args.m, budget):
-        size = f"{args.m}!" if args.all else f"2^{args.m - 1}"
+    if _family_exceeds(kind, m, budget):
         raise BudgetError(f"enum needs {size} preferences, budget is {budget}")
-    inst_names = tuple(f"h{i + 1}" for i in range(args.m))
-    order = LinearOrder.identity(args.m)
-    if args.sp:
-        prefs = enumerate_single_peaked(order)
-    elif args.sd:
-        prefs = enumerate_single_dipped(order)
-    else:
-        prefs = enumerate_all_preferences(args.m)
-    for pref in prefs:
+    inst_names = tuple(f"h{i + 1}" for i in range(m))
+    for pref in enumerate_family(LinearOrder.identity(m)):
         print(" ".join(inst_names[h] for h in pref.ranking))
     return 0
 
@@ -509,9 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum", help="list a preference family")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--sp", action="store_true")
-    g.add_argument("--sd", action="store_true")
-    g.add_argument("--all", action="store_true")
+    for kind in ("sp", "sd", "all"):  # each flag stores its family's kind
+        g.add_argument(f"--{kind}", dest="family", action="store_const", const=kind)
     p.add_argument("--m", type=int, required=True, help="number of houses")
     p.set_defaults(func=cmd_enum)
 

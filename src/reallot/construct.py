@@ -61,7 +61,9 @@ def complete_sp(
         if not (_is_index(better, m) and _is_index(worse, m)):
             raise ValueError(f"unknown house index in constraint {(better, worse)}")
         above[worse].append(pos[better])
-    starts = range(m) if peak_hint is None else [pos[h] for h in above if h == peak_hint]
+    if peak_hint is not None and not _is_index(peak_hint, m):
+        raise ValueError(f"unknown house index: {peak_hint}")
+    starts = range(m) if peak_hint is None else [pos[peak_hint]]
 
     @functools.lru_cache(maxsize=None)
     def finish(lo: int, hi: int) -> tuple[int, ...] | None:
@@ -105,14 +107,16 @@ def _resolve_roles_and_beta(
             rng.shuffle(rest_houses)
         pairs = tuple(zip(rest_agents, rest_houses))
     else:
-        try:
-            pairs = tuple(sorted((a, beta[a]) for a in rest_agents))
-        except KeyError as exc:
-            raise ValueError(f"beta is missing agent {exc.args[0]}") from exc
+        pairs = []
+        for a in rest_agents:  # ascending, so the pairs are sorted
+            try:
+                pairs.append((a, beta[a]))
+            except (KeyError, IndexError, TypeError) as exc:
+                raise ValueError(f"beta is missing agent {a}") from exc
         houses = [h for _, h in pairs]
         if not all(_is_index(h, n) for h in houses) or sorted(houses) != sorted(rest_houses):
             raise ValueError("beta must biject the remaining agents onto the remaining houses")
-    return roles, pairs
+    return roles, tuple(pairs)
 
 
 def _assemble(

@@ -252,14 +252,11 @@ def _all_family(m: int) -> tuple[Preference, ...]:
 def _family_exceeds(kind: str, m: int, cap: int) -> bool:
     """Whether the ``kind`` family over m houses has more than ``cap``
     preferences, decided without building one and without big numbers:
-    2^(m-1) by its exponent, m! by multiplying up only until the product
-    passes the cap."""
-    if kind != UNRESTRICTED:
-        k = max(m - 1, 0)
-        return k >= cap.bit_length() or 1 << k > cap
+    2^(m-1) or m! is multiplied up, by 2 or by k, only until the product
+    passes the cap, within ``cap.bit_length()`` steps."""
     size = 1
     for k in range(2, m + 1):
-        size *= k
+        size *= k if kind == UNRESTRICTED else 2
         if size > cap:
             return True
     return size > cap

@@ -102,13 +102,19 @@ def _shortest_cycle(succ: Sequence[int]) -> list[int] | None:
     return best
 
 
+def _rank_rows(profile: Profile, *allocations: Allocation) -> list[tuple[int, ...]]:
+    """The profile's ``rank_of`` rows, once every allocation is checked to
+    have the profile's size: the one input rule of the per-allocation API."""
+    for mu in allocations:
+        if mu.n != profile.n:
+            raise ValueError("allocation size does not match the profile")
+    return [p.rank_of for p in profile.prefs]
+
+
 def find_blocking_pair(profile: Profile, mu: Allocation) -> tuple[int, int] | None:
     """The lexicographically least pair of agents who both strictly prefer
     each other's assigned house, or None (mu is then pair-efficient)."""
-    if mu.n != profile.n:
-        raise ValueError("allocation size does not match the profile")
-    ranks = [p.rank_of for p in profile.prefs]
-    return _blocking_pair_raw(ranks, mu.assign)
+    return _blocking_pair_raw(_rank_rows(profile, mu), mu.assign)
 
 
 def find_improving_cycle(
@@ -121,10 +127,7 @@ def find_improving_cycle(
     agent order meets; ``shortest=True`` returns a shortest cycle by
     breadth-first search, which is the least blocking pair when one exists.
     """
-    if mu.n != profile.n:
-        raise ValueError("allocation size does not match the profile")
-    ranks = [p.rank_of for p in profile.prefs]
-    succ = _envy_masks(ranks, mu.assign)
+    succ = _envy_masks(_rank_rows(profile, mu), mu.assign)
     cycle = _shortest_cycle(succ) if shortest else _envy_cycle(succ)
     return None if cycle is None else ImprovingCycle(cycle)
 
@@ -140,12 +143,10 @@ def pareto_dominates(profile: Profile, nu: Allocation, mu: Allocation) -> bool:
     >>> pareto_dominates(prof, Allocation((1, 2, 0)), Allocation((2, 0, 1)))
     True
     """
-    if nu.n != profile.n or mu.n != profile.n:
-        raise ValueError("allocation size does not match the profile")
     strict = False
-    for a, pref in enumerate(profile.prefs):
-        rn = pref.rank_of[nu.assign[a]]
-        rm = pref.rank_of[mu.assign[a]]
+    for a, rank in enumerate(_rank_rows(profile, nu, mu)):
+        rn = rank[nu.assign[a]]
+        rm = rank[mu.assign[a]]
         if rn > rm:
             return False
         if rn < rm:
@@ -162,8 +163,8 @@ def _hurt_agent(profile: Profile, mu: Allocation) -> int | None:
     """The first agent that mu leaves strictly below their endowment, or
     None."""
     endow = profile.instance.endowment
-    for a, pref in enumerate(profile.prefs):
-        if pref.rank_of[mu.assign[a]] > pref.rank_of[endow[a]]:
+    for a, rank in enumerate(_rank_rows(profile, mu)):
+        if rank[mu.assign[a]] > rank[endow[a]]:
             return a
     return None
 
@@ -177,8 +178,7 @@ def brute_force_dominator(profile: Profile, mu: Allocation) -> Allocation | None
     n = profile.n
     if n > BRUTE_FORCE_MAX_AGENTS:
         raise BudgetError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_AGENTS}, got {n}")
-    if mu.n != n:
-        raise ValueError("allocation size does not match the profile")
+    _rank_rows(profile, mu)  # the size check; the scan reads the preferences
     (nu,) = _first_dominators(profile.prefs, [mu.assign])
     return None if nu is None else Allocation._make(nu)
 

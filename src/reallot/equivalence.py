@@ -47,6 +47,7 @@ from .efficiency import (
     _extraction_pass,
     _first_dominators,
     _pair_efficient,
+    _rank_rows,
     _trade_colors,
     apply_cycle,
     pareto_dominates,
@@ -85,10 +86,9 @@ class ImprovementWitness:
 def _witness(profile: Profile, ranks, mu: Allocation, nu: Allocation):
     """(witness, owner, slots) for the trade from mu to nu, checked by
     ``_trade_colors`` on the ``rank_of`` rows ``ranks``: ``owner[h]`` holds
-    house h under mu, and ``slots`` are the labels' houses."""
+    house h under mu, and ``slots`` are the labels' houses. mu and nu have
+    the profile's size: ``_rank_rows`` checked them, or the caller built them."""
     n = profile.n
-    if nu.n != n or mu.n != n:
-        raise ValueError("allocation size does not match the profile")
     owner = [0] * n
     for a, h in enumerate(mu.assign):
         owner[h] = a
@@ -106,7 +106,7 @@ def build_witness(profile: Profile, mu: Allocation, nu: Allocation) -> Improveme
     must keep their houses, and mu and nu must shuffle the same houses
     within the improving set.
     """
-    return _witness(profile, [p.rank_of for p in profile.prefs], mu, nu)[0]
+    return _witness(profile, _rank_rows(profile, mu, nu), mu, nu)[0]
 
 
 def _check_family(profile: Profile, kind: str):
@@ -120,7 +120,7 @@ def _check_family(profile: Profile, kind: str):
 
 def _extract_pair(profile: Profile, mu: Allocation, witness: ImprovementWitness, kind: str):
     _check_family(profile, kind)
-    ranks = [p.rank_of for p in profile.prefs]
+    ranks = _rank_rows(profile, mu, witness.nu)
     built, owner, slots = _witness(profile, ranks, mu, witness.nu)
     if built != witness:
         raise ValueError("witness does not match this profile and allocation")

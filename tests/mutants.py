@@ -195,6 +195,29 @@ CATALOGUE = (
         "if not isinstance(value, int):",
         ("tests/test_equivalence.py::test_verify_equivalence_rejects_nonpositive_jobs",),
     ),
+    Mutant(
+        # The one size rule of the per-allocation API checks nothing.
+        "rank-rows-check-no-allocation",
+        "efficiency.py",
+        "    for mu in allocations:\n",
+        "    for mu in ():\n",
+        ("tests/test_efficiency.py::test_allocation_size_mismatch_rejected",),
+    ),
+    Mutant(
+        "check-runs-only-the-flagged-checks",
+        "cli.py",
+        "        if flag or run_all:\n",
+        "        if flag:\n",
+        ("tests/test_cli_golden.py",),
+    ),
+    Mutant(
+        # A float peak then fails as a TypeError, and 7 or -1 as no match.
+        "peak-hint-guard-dropped",
+        "construct.py",
+        '    if peak_hint is not None and not _is_index(peak_hint, m):\n        raise ValueError(f"unknown house index: {peak_hint}")\n',
+        "",
+        ("tests/test_construct.py::test_complete_sp_picks_first_canonical_match",),
+    ),
     # One mutant per invariant guard that no valid input reaches: each breaks
     # what its guard protects, and the named test fails on the guard's error.
     Mutant(

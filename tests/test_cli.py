@@ -101,6 +101,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_instance(bad_rank)
     assert err.value.line == 2
+    bad_house = "order: h1 h2 h3\nagent a1: h1 h9 h2\nagent a2: h3 h1 h2\nagent a3: h1 h2 h3\n"
+    with pytest.raises(ParseError, match="^line 2: unknown house in ranking: h9$"):
+        parse_instance(bad_house)
     with pytest.raises(ParseError) as err:
         parse_instance("agent a1: h1 h2 h3\n")
     assert "order" in str(err.value)

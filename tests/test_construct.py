@@ -66,6 +66,9 @@ def test_complete_sp_picks_first_canonical_match():
         complete_sp(IDENTITY3, [(0, 3)])
     with pytest.raises(ValueError, match=r"^unknown house index in constraint \(1\.0, 2\)$"):
         complete_sp(IDENTITY3, [(1.0, 2)])
+    for bad_peak in (1.0, 7, -1):
+        with pytest.raises(ValueError, match=f"^unknown house index: {bad_peak}$"):
+            complete_sp(IDENTITY3, [], peak_hint=bad_peak)
 
 
 def _complete_sp_by_walk(order, constraints, peak_hint=None):
@@ -267,6 +270,9 @@ def test_explicit_roles_and_beta():
         build_sp_counterexample(order, offender, roles=roles, beta={a: 0 for a in rest_agents})
     with pytest.raises(ValueError, match=f"^beta is missing agent {rest_agents[0]}$"):
         build_sp_counterexample(order, offender, roles=roles, beta={rest_agents[1]: beta[rest_agents[1]]})
+    # A sequence too short for the remaining agents 3 and 4 (default roles).
+    with pytest.raises(ValueError, match="^beta is missing agent 3$"):
+        build_sp_counterexample(order, offender, beta=[1])
 
 
 # sha256 of the newline-terminated ``repr`` of every bundle built by

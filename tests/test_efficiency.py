@@ -22,6 +22,7 @@ from reallot.efficiency import (
     count_efficient,
     find_blocking_pair,
     find_improving_cycle,
+    is_individually_rational,
     pareto_dominates,
 )
 
@@ -238,7 +239,7 @@ def test_guards_reject_large_instances():
 def test_allocation_size_mismatch_rejected(gap_example):
     profile, _, _ = gap_example
     four = Allocation((0, 1, 2, 3))
-    for check in (find_blocking_pair, find_improving_cycle, brute_force_dominator):
+    for check in (find_blocking_pair, find_improving_cycle, brute_force_dominator, is_individually_rational):
         with pytest.raises(ValueError, match="^allocation size does not match the profile$"):
             check(profile, four)
     with pytest.raises(ValueError):
