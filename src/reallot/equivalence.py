@@ -8,8 +8,9 @@ Witnesses, extractors, gap certificates and extraction claims all run one
 integer rule, ``efficiency._trade_colors``, on houses and ``rank_of``
 rows; the rule alone reads the order. The verifier sweeps the profiles a
 ``domains.Scope`` covers, within the ``core._spend`` budget, for
-pair-efficient allocations that are not Pareto-efficient and certifies
-each with the brute-force oracle's dominator.
+pair-efficient allocations that are not Pareto-efficient: exhaustively by
+contour classes, which scan no profile, or by the kernel on each sampled
+profile. It certifies each gap with the brute-force oracle's dominator.
 """
 
 from __future__ import annotations
@@ -42,10 +43,12 @@ from .domains import (
 from .efficiency import (
     BLUE,
     RED,
+    _acyclic,
     _blocking_labels,
     _blocking_pair_raw,
     _extraction_pass,
     _first_dominators,
+    _mask_houses,
     _pair_efficient,
     _rank_rows,
     _trade_colors,
@@ -167,7 +170,8 @@ class EquivalenceReport:
 
 def _gap_allocations(prefs) -> list[tuple[int, ...]]:
     """The pair-efficient yet Pareto-dominated allocations of the profile
-    with these preferences, in lexicographic order: the one gap finder."""
+    with these preferences, in lexicographic order: the gap finder of
+    sampled profiles and of ``find_gap_witness``."""
     return _pair_efficient([p.better for p in prefs])[1]
 
 
@@ -210,122 +214,70 @@ def _definitional_spot_check(instance: Instance, profiles):
             return
 
 
-def _multinomial(combo: tuple[int, ...]) -> int:
-    """How many distinct orderings a sorted index multiset has."""
-    count = math.factorial(len(combo))
-    for i in set(combo):
-        count //= math.factorial(combo.count(i))
-    return count
+def _class_gaps(lists, skip) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The gaps of one Cartesian block, found by contour classes: each
+    gapped profile, as its agents' indices into ``lists``, with its gap
+    allocations in ``itertools.permutations`` order.
 
-
-def _mirror_indices(lst, n: int) -> list[int] | None:
-    """``sigma[i]``: where lst[i] sits in ``lst`` with every house h read as
-    n-1-h (the mirror of ``Instance.default(n)``'s order), or None."""
-    where = {p.ranking: i for i, p in enumerate(lst)}
-    sigma = [where.get(tuple(n - 1 - h for h in p.ranking)) for p in lst]
-    return None if None in sigma else sigma
-
-
-def _groups(block, order) -> dict[tuple, list[int]]:
-    """The block's agents grouped by equal admissible lists: each list
-    with its agents, in the order of the groups' least agents."""
-    groups: dict[tuple, list[int]] = {}
-    for a, entry in enumerate(block):
-        groups.setdefault(_entry(entry).prefs(order), []).append(a)
-    return groups
-
-
-def _scan_orbit_task(args) -> tuple[int, list[Violation]]:
-    """Scan one profile per orbit of agent relabellings, folded with the
-    house mirror h -> n-1-h when every admissible list is closed under it.
-
-    Agents with equal lists form a group; an orbit picks a multiset of list
-    indices per group, and this task takes the orbits whose first group's
-    least index is ``first_idx``. Neither symmetry moves an allocation in or
-    out of pair- or Pareto-efficiency. The kernel reads each listed
-    preference's cached row, so a clean orbit is counted by its size
-    without a ``Profile``; under the fold only the lesser of an orbit and
-    its mirror image is scanned, counted twice unless the mirror fixes it.
-    A gapped orbit's members, mirror members included, take the
-    representative's gaps relabelled, each certified on its own ``Profile``.
-    The task sweeps block ``k`` of the spec, skipping what an earlier block
-    swept.
+    At a fixed mu both verdicts depend only on each agent's above set at
+    its own house, ``better[mu[a]]``, which is the successor mask of
+    ``mu[a]`` in the envy digraph over houses. A class picks one above set
+    per agent and stands for the product of the entries that give them; it
+    is gapped when its digraph has a cycle but no 2-cycle (Abraham,
+    Cechlarova, Manlove & Mehlhorn 2004). Agents are placed in turn and a
+    set that closes a 2-cycle with a placed agent is dropped, so only
+    pair-efficient classes reach a leaf, where ``_acyclic`` decides. A
+    gapped class's profiles that ``skip`` names are left out.
     """
-    spec, n, k, first_idx = args
-    instance = Instance.default(n)
-    skip = _swept_before(instance.order, k)
-    groups = _groups(spec.blocks[k], instance.order)
-    # The skipped all-monotone profiles are each other's mirror images.
-    skipped = [{i for i, p in enumerate(lst) if p in skip} for lst in groups]
-    sigmas = [_mirror_indices(lst, n) for lst in groups]
-    fold = None not in sigmas
-    choices = []
-    for lst, agents in groups.items():
-        if choices:
-            combos = itertools.combinations_with_replacement(range(len(lst)), len(agents))
-        else:
-            rest = itertools.combinations_with_replacement(
-                range(first_idx, len(lst)), len(agents) - 1
-            )
-            combos = ((first_idx, *c) for c in rest)
-        choices.append([(c, _multinomial(c)) for c in combos])
+    n = len(lists)
+    houses = _mask_houses(n)
+    # above[a][h]: agent a's distinct above sets at house h, each with the
+    # indices of the list entries that give it.
+    above = []
+    for lst in lists:
+        per_house = []
+        for h in range(n):
+            members: dict[int, list[int]] = {}
+            for i, p in enumerate(lst):
+                members.setdefault(p.better[h], []).append(i)
+            per_house.append(tuple(members.items()))
+        above.append(per_house)
+    skipped = [{i for i, p in enumerate(lst) if p in skip} for lst in lists]
+    gaps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    succ = [0] * n
+    picked: list[list[int]] = [[]] * n
+    last = n - 1
 
-    def members(picks, gaps, flip: bool) -> list[Violation]:
-        # Member agent ag[j] holds what representative agent ag[p[j]] holds,
-        # read through the mirror when ``flip``; one p per distinct member.
-        per_group = []
-        for combo, sigma in zip(picks, sigmas):
-            held = [sigma[i] for i in combo] if flip else combo
-            ways: dict[tuple, tuple] = {}
-            for p in itertools.permutations(range(len(held))):
-                ways.setdefault(tuple(held[k] for k in p), p)
-            per_group.append(sorted(ways.items()))
-        house = [n - 1 - h if flip else h for h in range(n)]
-        found: list[Violation] = []
-        for member in itertools.product(*per_group):
-            prefs = [None] * n
-            source = [0] * n
-            for (held, p), (lst, ag) in zip(member, groups.items()):
-                for j, b in enumerate(ag):
-                    prefs[b] = lst[held[j]]
-                    source[b] = ag[p[j]]
-            moved = sorted(tuple(house[gap[s]] for s in source) for gap in gaps)
-            found += _certified(instance, tuple(prefs), moved)
-        return found
+    def place(a: int, taken: int):
+        h = mu[a]
+        bit = 1 << h
+        for row, members in above[a][h]:
+            for g in houses[row & taken]:
+                if succ[g] & bit:
+                    break  # the holder of g envies agent a back
+            else:
+                succ[h] = row
+                picked[a] = members
+                if a < last:
+                    place(a + 1, taken | bit)
+                elif not _acyclic(succ, houses):
+                    for profile in itertools.product(*picked):
+                        if not skip or not all(i in s for i, s in zip(profile, skipped)):
+                            gaps.setdefault(profile, []).append(mu)
 
-    profiles = 0
-    violations: list[Violation] = []
-    for orbit in itertools.product(*choices):
-        picks = tuple(c for c, _ in orbit)
-        if all(s.issuperset(c) for c, s in zip(picks, skipped)):
-            continue
-        mirrored = picks
-        if fold:
-            mirrored = tuple(tuple(sorted(s[i] for i in c)) for c, s in zip(picks, sigmas))
-            if mirrored < picks:
-                continue
-        weight = math.prod(w for _, w in orbit)
-        profiles += weight if mirrored == picks else 2 * weight
-        prefs = [None] * n
-        for combo, (lst, ag) in zip(picks, groups.items()):
-            for a, i in zip(ag, combo):
-                prefs[a] = lst[i]
-        gaps = _gap_allocations(prefs)
-        if gaps:
-            violations += members(picks, gaps, False)
-            if mirrored != picks:
-                violations += members(picks, gaps, True)
-    return profiles, violations
+    for mu in itertools.permutations(range(n)):
+        place(0, 0)
+    return gaps
 
 
-def _scan_random_task(args) -> tuple[int, list[Violation]]:
+def _scan_random_task(args) -> list[Violation]:
     """Scan the sampled profile of each seed."""
     spec, n, seeds = args
     instance = Instance.default(n)
     violations: list[Violation] = []
     for prefs in _profiles(spec, instance, seeds):
         violations += _certified(instance, prefs, _gap_allocations(prefs))
-    return len(seeds), violations
+    return violations
 
 
 def _usable_cpus() -> int:
@@ -337,10 +289,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# A sweep estimated below this many checks runs in process, whatever its
-# ``jobs``, since there the pool's start-up costs more than a second core
-# saves: on 2 vCPUs a randomized n = 6 sweep of 60 seeds (43,200) ran
-# faster in process, and one of 150 seeds (108,000) faster on the pool.
+# A randomized sweep estimated below this many checks runs in process,
+# whatever its ``jobs``, since there the pool's start-up costs more than a
+# second core saves: on 2 vCPUs a randomized n = 6 sweep of 60 seeds
+# (43,200) ran faster in process, and one of 150 seeds (108,000) faster on
+# the pool.
 _POOL_MIN_WORK = 100_000
 
 
@@ -378,50 +331,46 @@ def verify_equivalence(
 
     The reverse implication is definitional and spot-checked once per run,
     on the first profile in scope that has a blocking pair.
-    Allocations that already fail pair-efficiency are pruned (the
-    implication is vacuous there). An exhaustive sweep scans one profile
-    per orbit of agent relabellings, folded with the house mirror
-    h -> n-1-h when every admissible list is closed under it, and counts
-    each orbit by its size; the budget still counts every profile. Worker
-    count never changes the report: partitions are merged in canonical
-    order and violations re-sorted. ``jobs`` must be an int of at least
-    1; a sweep whose scanned profiles (orbits, or seeds) times n! fall
-    below a measured break-even runs in process whatever ``jobs`` says.
+    An exhaustive sweep scans no profile: it finds every gap by contour
+    classes (``_class_gaps``), one per allocation and choice of above sets,
+    and certifies each gapped profile once; the budget still counts every
+    profile times n!. It runs in process whatever ``jobs`` says, since
+    what is left of it is certification. A randomized sweep runs the
+    kernel on each sampled profile, which prunes the allocations that
+    already fail pair-efficiency (the implication is vacuous there); its
+    seeds go to ``jobs`` workers when seeds times n! reach a measured
+    break-even. ``jobs`` must be an int of at least 1, and never changes
+    the report: partitions are merged and violations sorted.
     """
     _check_count(jobs, "jobs")
     if spec.n != n:
         raise ValueError("spec and instance disagree on the agent count")
     _check_sweep_agents(n)
     instance = Instance.default(n)
-    checks = scope.size(spec, instance.order) * math.factorial(n)
+    profiles = scope.size(spec, instance.order)
+    checks = profiles * math.factorial(n)
     _spend(checks, "checks", f"{scope.kind} sweep", budget)
     seeds = scope.seeds()
+    _definitional_spot_check(instance, _profiles(spec, instance, seeds))
     if seeds is None:
-        # A task per index of each block's first list. Before the skip and
-        # the mirror fold, a group picks the multisets of its size over its list.
-        tasks, scanned = [], 0
+        # Each gapped profile is certified once, for all of its gaps, in
+        # ``_violation_key`` order.
+        gapped = []
         for k, block in enumerate(spec.blocks):
-            groups = _groups(block, instance.order)
-            tasks += [(spec, n, k, i) for i in range(len(next(iter(groups))))]
-            scanned += math.prod(math.comb(len(lst) + len(ag) - 1, len(ag)) for lst, ag in groups.items())
-        task_fn = _scan_orbit_task
+            lists = [_entry(e).prefs(instance.order) for e in block]
+            for picks, mus in _class_gaps(lists, _swept_before(instance.order, k)).items():
+                gapped.append((tuple(lst[i] for lst, i in zip(lists, picks)), mus))
+        gapped.sort(key=lambda found: [p.ranking for p in found[0]])
+        violations = [v for prefs, mus in gapped for v in _certified(instance, prefs, mus)]
     else:
-        scanned = len(seeds)
         chunk = max(1, math.ceil(len(seeds) / jobs / 4))
         tasks = [(spec, n, seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)]
-        task_fn = _scan_random_task
-
-    _definitional_spot_check(instance, _profiles(spec, instance, seeds))
-
-    work = scanned * math.factorial(n)
-    results = _run_tasks(task_fn, tasks, jobs if work >= _POOL_MIN_WORK else 1)
-    profiles = sum(r[0] for r in results)
-    merged: dict[tuple, Violation] = {}
-    for _, found in results:
-        for v in found:
-            merged.setdefault(_violation_key(v), v)
-    violations = tuple(merged[key] for key in sorted(merged))
-    return EquivalenceReport(spec, scope, profiles, profiles * math.factorial(n), violations)
+        merged: dict[tuple, Violation] = {}
+        for found in _run_tasks(_scan_random_task, tasks, jobs if checks >= _POOL_MIN_WORK else 1):
+            for v in found:
+                merged.setdefault(_violation_key(v), v)
+        violations = [merged[key] for key in sorted(merged)]
+    return EquivalenceReport(spec, scope, profiles, checks, tuple(violations))
 
 
 def find_gap_witness(

@@ -3,7 +3,8 @@ small sweeps, builders, the checked-rebuild gate of ``_make`` values, the
 envy-graph, cycle-search and dominator oracles, the paused-walk helper,
 the literal witness, extractor and extraction-claim oracles, the kernel
 row by definition, the per-permutation extraction pass, the walk-free
-efficiency oracles and the direct single-dipped oracles."""
+efficiency oracles, the direct single-dipped oracles and the contour-class
+gap count."""
 
 import itertools
 import pickle
@@ -30,16 +31,18 @@ from reallot.equivalence import ImprovementWitness
 
 
 def pool_small_sweeps():
-    """A patch of the runner's break-even to 0: under it, a sweep with
-    ``jobs`` >= 2 starts its pool however small its estimated work. As a
-    context manager for Hypothesis tests, which take no function-scoped
-    fixture; other tests use the ``small_sweeps_pool`` fixture."""
+    """A patch of the runner's break-even to 0: under it, a randomized
+    sweep with ``jobs`` >= 2 starts its pool however small its estimated
+    work; exhaustive sweeps start none. As a context manager for
+    Hypothesis tests, which take no function-scoped fixture; other tests
+    use the ``small_sweeps_pool`` fixture."""
     return mock.patch.object(equivalence, "_POOL_MIN_WORK", 0)
 
 
 @pytest.fixture
 def small_sweeps_pool():
-    """Small sweeps with ``jobs`` >= 2 reach the pool for the whole test."""
+    """Small randomized sweeps with ``jobs`` >= 2 reach the pool for the
+    whole test."""
     with pool_small_sweeps():
         yield
 
@@ -428,6 +431,64 @@ def single_dipped_violation_by_scan(
             if rank[middle] < rank[far]:
                 return ViolationWitness(NOT_SINGLE_DIPPED, dip, middle, far, side)
     return None
+
+
+def _reaches_itself(succ, start: int) -> bool:
+    """True iff a path of one or more edges leads from ``start`` back to it
+    in the digraph of successor lists ``succ``."""
+    seen = set()
+    todo = list(succ[start])
+    while todo:
+        node = todo.pop()
+        if node == start:
+            return True
+        if node not in seen:
+            seen.add(node)
+            todo.extend(succ[node])
+    return False
+
+
+def gapped_contour_classes(lists, mus=None):
+    """Yield ``(mu, above, weight)`` for every gapped contour class of the
+    Cartesian block whose agents' admissible lists are ``lists``, over the
+    allocations ``mus`` (default: every permutation).
+
+    At mu, agent a's contour is ``above[a]``, the set of houses it ranks
+    above its own, read from ``rank_of``; ``weight`` is how many profiles
+    of the block give the class's contours. mu is Pareto-dominated iff the
+    envy digraph (a -> b when ``mu[b]`` is in ``above[a]``) has a cycle,
+    and pair-efficient iff it has no 2-cycle, so the block's gaps number
+    the sum of the weights. Agents are placed in turn and a contour that
+    closes a 2-cycle with a placed agent is dropped. Plain loops and sets:
+    the oracle shares nothing with the sweeps' kernel or class search."""
+    n = len(lists)
+    for mu in mus if mus is not None else itertools.permutations(range(n)):
+        owner = {h: a for a, h in enumerate(mu)}
+        options = []
+        for a, lst in enumerate(lists):
+            weights = {}
+            for p in lst:
+                own = p.rank_of[mu[a]]
+                contour = frozenset(h for h in range(n) if p.rank_of[h] < own)
+                weights[contour] = weights.get(contour, 0) + 1
+            options.append(list(weights.items()))
+        above = [None] * n
+        weight = [1] * (n + 1)
+
+        def place(a):
+            if a == n:
+                succ = [[owner[h] for h in above[b]] for b in range(n)]
+                if any(_reaches_itself(succ, b) for b in range(n)):
+                    yield mu, tuple(above), weight[n]
+                return
+            for contour, count in options[a]:
+                if any(mu[b] in contour and mu[a] in above[b] for b in range(a)):
+                    continue  # a and b would envy each other
+                above[a] = contour
+                weight[a + 1] = weight[a] * count
+                yield from place(a + 1)
+
+        yield from place(0)
 
 
 @pytest.fixture

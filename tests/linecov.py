@@ -25,10 +25,9 @@ missed line lies in no entry, when an entry is stale (its snippet does not
 occur exactly once, or none of its lines is missed) or when a reason has
 another shape; it also exits 1 when the traced suite fails.
 
-For time the run deselects ``DESELECTED``: criteria 3 and 5 and the n = 5
-certification, the three slowest tests, which run no line the rest of the
-suite misses. The trace slows the rest 2.5 to 3.5 times, to 2-3 minutes
-on 2 vCPUs.
+For time the run deselects ``DESELECTED``: criteria 3 and 5, the two
+slowest tests, which run no line the rest of the suite misses. The trace
+slows the rest 2.5 to 3.5 times, to 2-3 minutes on 2 vCPUs.
 
 Opt-in tooling, not part of the test suite (pytest does not collect this
 file). Standard library and pytest only. The hypothesis tests draw from
@@ -59,7 +58,6 @@ PACKAGE = ROOT / "src" / "reallot"
 DESELECTED = (
     "tests/test_acceptance.py::test_criterion_3_equivalence_randomized_n6",
     "tests/test_acceptance.py::test_criterion_5_extractors_on_every_dominated_pair",
-    "tests/test_acceptance.py::test_exhaustive_certification_at_n5",
 )
 
 RESUME = dis.opmap.get("RESUME")  # None before Python 3.11: no prologue

@@ -85,16 +85,39 @@ CATALOGUE = (
     Mutant(
         "runner-always-pools",
         "equivalence.py",
-        "jobs if work >= _POOL_MIN_WORK else 1)",
+        "jobs if checks >= _POOL_MIN_WORK else 1)",
         "jobs)",
         ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_at_its_estimated_work",),
     ),
     Mutant(
         "runner-never-pools",
         "equivalence.py",
-        "jobs if work >= _POOL_MIN_WORK else 1)",
+        "jobs if checks >= _POOL_MIN_WORK else 1)",
         "1)",
         ("tests/test_equivalence.py::test_a_sweep_starts_its_pool_at_its_estimated_work",),
+    ),
+    Mutant(
+        # Classes with a 2-cycle reach the leaf, and their cycle makes them gaps.
+        "class-search-keeps-two-cycles",
+        "equivalence.py",
+        "                if succ[g] & bit:\n                    break  # the holder of g envies agent a back\n",
+        "                if False:\n                    break\n",
+        ("tests/test_equivalence.py::test_orbit_sweep_matches_the_unreduced_sweep",),
+    ),
+    Mutant(
+        # Each member lands in the class of its above set at the mirrored house.
+        "class-members-grouped-by-another-house",
+        "equivalence.py",
+        "members.setdefault(p.better[h], []).append(i)",
+        "members.setdefault(p.better[n - 1 - h], []).append(i)",
+        ("tests/test_equivalence.py::test_orbit_sweep_matches_the_unreduced_sweep",),
+    ),
+    Mutant(
+        "class-search-ignores-its-skip",
+        "equivalence.py",
+        "if not skip or not all(i in s for i, s in zip(profile, skipped)):",
+        "if True:",
+        ("tests/test_contour_classes.py::test_the_class_search_leaves_out_the_profiles_its_skip_names",),
     ),
     Mutant(
         "kernel-prunes-no-prefix",
@@ -260,7 +283,8 @@ CATALOGUE = (
         "efficiency.py",
         "for g in houses[row[h] & taken]:",
         "for g in houses[row[h] & taken][1:]:",
-        ("tests/test_equivalence.py::test_verify_equivalence_clean_domains",),
+        # A clean randomized sweep: exhaustive sweeps search classes, not the kernel.
+        ("tests/test_equivalence.py::test_clean_sweeps_never_reach_the_dominator_scan",),
     ),
     Mutant(
         "blocking-pair-one-sided",

@@ -93,7 +93,7 @@ def test_criterion_2_equivalence_exhaustive_small():
 
 def test_exhaustive_certification_at_n5():
     # One size beyond the default budget: every all-SP and every all-SD
-    # profile at n = 5, scanned one profile per agent-relabelling orbit.
+    # profile at n = 5, searched by contour classes.
     start = time.perf_counter()
     for spec in (DomainSpec.all_single_peaked(5), DomainSpec.all_single_dipped(5)):
         report = verify_equivalence(spec, 5, Scope.exhaustive(), budget=125_829_120)

@@ -765,9 +765,9 @@ def test_cli_fuzz_exits_cleanly_and_starts_no_runaway_pool(case, files):
         Path(paths["allocation"]).write_bytes(allocation_bytes)
         stdout, stderr = io.StringIO(), io.StringIO()
         # A small budget keeps exhaustive n = 4 sweeps of `all` on the
-        # refusal path (exit 3) and the rest quick. Every sweep with jobs
-        # >= 2 reaches the recording pool, however small its work, so the
-        # worker counts below are those the pool would be asked for.
+        # refusal path (exit 3) and the rest quick. Every randomized sweep
+        # with jobs >= 2 reaches the recording pool, however small its work,
+        # so the worker counts below are those the pool would be asked for.
         with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingPool), \
                 pool_small_sweeps(), mock.patch.dict(os.environ, {"REALLOT_BUDGET": "100000"}), \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -365,31 +365,28 @@ def test_orbit_sweep_matches_the_unreduced_sweep():
 
 def test_union_sweep_scans_each_block_with_its_own_lists(monkeypatch):
     # A union report holds counts only, and its blocks are the same size,
-    # so a sweep that scanned the SP block twice would print the same
-    # report. A spy on the kernel sees every representative: each is
-    # all-SP or all-SD, the SD block is reached, and no profile made of
-    # the two monotone rankings alone is scanned twice.
+    # so a sweep that searched the SP block twice would print the same
+    # report. A spy on the class search sees each block's lists: the SP
+    # block's, then the SD block's, and only the SD block skips the
+    # profiles made of the two monotone rankings alone.
     n = 4
     order = Instance.default(n).order
-    rows = {}
-    for kind in ("sp", "sd"):
-        prefs = DomainSpec.parse(kind, n).admissible(order, 0)
-        rows[kind] = {p.better for p in prefs}
-    scanned = []
-    kernel = equivalence._pair_efficient
+    searched = []
+    search = equivalence._class_gaps
 
-    def spy(table):
-        scanned.append(tuple(map(tuple, table)))
-        return kernel(table)
+    def spy(lists, skip):
+        searched.append((lists, skip))
+        return search(lists, skip)
 
-    monkeypatch.setattr(equivalence, "_pair_efficient", spy)
+    monkeypatch.setattr(equivalence, "_class_gaps", spy)
     verify_equivalence(DomainSpec.union(n), n, Scope.exhaustive())
-    in_sp = [set(t) <= rows["sp"] for t in scanned]
-    in_sd = [set(t) <= rows["sd"] for t in scanned]
-    assert all(a or b for a, b in zip(in_sp, in_sd))
-    assert any(b and not a for a, b in zip(in_sp, in_sd))
-    monotone_only = [t for t, a, b in zip(scanned, in_sp, in_sd) if a and b]
-    assert len(monotone_only) == len(set(monotone_only))
+    assert [lists for lists, _ in searched] == [
+        [DomainSpec.parse(kind, n).admissible(order, a) for a in range(n)] for kind in ("sp", "sd")
+    ]
+    assert [skip for _, skip in searched] == [
+        frozenset(),
+        {monotone_increasing(order), monotone_decreasing(order)},
+    ]
 
 
 def _mirror(pref: Preference) -> Preference:
@@ -399,16 +396,14 @@ def _mirror(pref: Preference) -> Preference:
 
 @pytest.mark.usefixtures("small_sweeps_pool")
 def test_folded_sweeps_match_the_unreduced_sweep():
-    # Every list here is closed under the mirror, so each sweep folds. The
-    # explicit spec lists its closed set in two orders, so the two groups
-    # pair their entries with their mirror images by different indices.
+    # Every list here is closed under the mirror h -> 3-h. The explicit
+    # spec lists its closed set in two orders, so equal sets reach the
+    # class search in different orders.
     every = list(enumerate_all_preferences(4))
     closed = tuple(p for p in every if p.ranking[:2] in ((0, 2), (3, 1), (1, 3), (2, 0)))
     explicit = DomainSpec((closed, "sd", closed, closed[::2] + closed[1::2]))
     specs = [DomainSpec.parse(text, 4) for text in ("sd,sp,sp,sd", "sp,sd,all,sp")]
     for spec in specs + [explicit]:
-        lists = [spec.admissible(Instance.default(4).order, a) for a in range(4)]
-        assert all(equivalence._mirror_indices(lst, 4) is not None for lst in lists)
         report = verify_equivalence(spec, 4, Scope.exhaustive())
         assert report.violations
         assert report == _unreduced_exhaustive_sweep(spec, 4), spec.describe()
@@ -436,9 +431,7 @@ def explicit_specs(draw):
 @settings(max_examples=100, deadline=None)
 @given(explicit_specs())
 def test_mirror_fold_on_explicit_lists(drawn):
-    spec, closed = drawn
-    if closed:
-        assert all(equivalence._mirror_indices(lst, 3) is not None for lst in spec.per_agent)
+    spec, _ = drawn
     report = verify_equivalence(spec, 3, Scope.exhaustive())
     assert report == _unreduced_exhaustive_sweep(spec, 3)
     # The mirrored spec: the same counts, and the violations' mirror images.
@@ -474,8 +467,7 @@ def relabelled_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(relabelled_specs())
 def test_relabelling_the_agents_relabels_the_exhaustive_report(drawn):
-    # The orbit scan counts one profile per orbit of agent relabellings, so
-    # relabelling the spec's agents must move nothing but the labels. The
+    # Relabelling the spec's agents must move nothing but the labels. The
     # dominator nu is the first in canonical order, which depends on the
     # agent indices, so it is compared by domination only.
     spec, sigma = drawn
@@ -767,26 +759,27 @@ def test_worker_count_follows_the_affinity_set_not_the_host(monkeypatch, pool_si
 @pytest.mark.parametrize(
     ("spec", "n", "scope", "work", "gaps"),
     [
-        # 40 seeds, or the 10 * 4 orbit picks of the SP group {a1, a3} and
-        # the SD group {a2}, times 3!.
+        # 40 seeds times 3!.
         (DomainSpec.parse("sp,sd,sp", 3), 3, Scope.randomized(seed=9, trials=40), 40 * 6, True),
-        (DomainSpec.parse("sp,sd,sp", 3), 3, Scope.exhaustive(), 10 * 4 * 6, True),
-        # The union at n = 4 is 196,224 unreduced checks, but each block's
-        # one group of four agents picks a multiset of 4 of its 8 lists.
-        (DomainSpec.union(4), 4, Scope.exhaustive(), 2 * 330 * 24, False),
-        # Two groups of two agents, each picking 2 of its 8 lists.
-        (DomainSpec.parse("sp,sd,sp,sd", 4), 4, Scope.exhaustive(), 36 * 36 * 24, True),
+        # Exhaustive sweeps run in process at any estimate: no break-even.
+        (DomainSpec.parse("sp,sd,sp,sd", 4), 4, Scope.exhaustive(), None, True),
         (DomainSpec.parse("sd", 6), 6, Scope.randomized(seed=1, trials=60), 60 * 720, False),
     ],
-    ids=["randomized", "exhaustive", "union-n4", "exhaustive-n4", "randomized-n6"],
+    ids=["randomized", "exhaustive", "randomized-n6"],
 )
 def test_a_sweep_starts_its_pool_at_its_estimated_work(monkeypatch, pool_sizes, spec, n, scope, work, gaps):
-    # The estimate is the seeds or orbit picks times n!, not the unreduced
-    # checks. One unit below it the sweep runs in process; at it, the pool
-    # starts. The report is the same on both sides and with jobs=1.
+    # A randomized sweep's estimate is its seeds times n!. One unit below it
+    # the sweep runs in process; at it, the pool starts. An exhaustive sweep
+    # starts none even at a break-even of 0. The report is the same on both
+    # sides and with jobs=1.
     monkeypatch.setattr(equivalence.os, "sched_getaffinity", lambda pid: {0, 1})
     one = verify_equivalence(spec, n, scope, jobs=1)
     assert bool(one.violations) == gaps
+    if work is None:
+        monkeypatch.setattr(equivalence, "_POOL_MIN_WORK", 0)
+        assert verify_equivalence(spec, n, scope, jobs=2) == one
+        assert pool_sizes == []
+        return
     monkeypatch.setattr(equivalence, "_POOL_MIN_WORK", work + 1)
     below = verify_equivalence(spec, n, scope, jobs=2)
     assert pool_sizes == []
